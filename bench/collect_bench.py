@@ -60,6 +60,10 @@ BENCHES = [
     ("bench_corpus_score", ["12", "--jobs", "2"], ["6", "--jobs", "2"]),
     ("bench_codec", ["8", "--jobs", "2"], ["4", "--jobs", "2"]),
     ("bench_defense_grid", ["12", "--jobs", "2"], ["6", "--jobs", "2"]),
+    # The ROADMAP's end-to-end numbers: attacked table2 loads/s at one job,
+    # and fleet wall time (bench_fleet runs its own jobs-1/jobs-4 pair).
+    ("bench_table2_attack", ["40", "--jobs", "1"], ["10", "--jobs", "1"]),
+    ("bench_fleet", ["2"], ["1"]),
 ]
 
 BENCH_MARKER = "BENCH_JSON "

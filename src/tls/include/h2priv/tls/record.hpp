@@ -6,6 +6,13 @@
 // scrambled, so nothing in this codebase can accidentally "cheat" by reading
 // plaintext off a packet. An on-path observer sees exactly what tshark's
 // `ssl.record.content_type` filter sees: type and length.
+//
+// Record `seq` of a direction: ciphertext = plaintext XOR keystream (one
+// `mix` per 8-byte block), then a 16-byte tag `h2 || mix(k ^ h2)`, both
+// halves little-endian, with k = mix(secret ^ "tag" ^ seq) and h2 the
+// polynomial checksum h = 31h + byte over the plaintext, seeded with
+// mix(k ^ direction). open_one recomputes all 16 tag bytes and rejects the
+// record unless every one matches.
 #pragma once
 
 #include <algorithm>

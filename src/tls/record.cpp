@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <string>
 
 #include "h2priv/obs/metrics.hpp"
@@ -20,49 +22,35 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x;
 }
 
+static_assert(std::endian::native == std::endian::little,
+              "keystream_xor's word form equals the per-byte definition only on "
+              "little-endian hosts");
+
 /// Keystream: byte i of a record is XORed with byte (i % 8) of
-/// mix(secret ^ domain<<56 ^ seq*golden ^ i/8). This form computes each
-/// 8-byte block once instead of once per byte — byte-identical to the
-/// per-byte definition (records always start at block offset 0). src == dst
+/// mix(secret ^ domain<<56 ^ seq*golden ^ i/8). Whole blocks are XORed as one
+/// little-endian word (records always start at block offset 0). src == dst
 /// is allowed.
 void keystream_xor(std::uint64_t secret, std::uint8_t domain, std::uint64_t seq,
                    const std::uint8_t* src, std::uint8_t* dst, std::size_t n) noexcept {
   const std::uint64_t base = secret ^ (static_cast<std::uint64_t>(domain) << 56) ^
                              (seq * 0x9e3779b97f4a7c15ull);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const std::uint64_t block = mix(base ^ (i / 8));
-    const std::size_t m = std::min<std::size_t>(8, n - i);
-    for (std::size_t j = 0; j < m; ++j) {
-      dst[i + j] = static_cast<std::uint8_t>(src[i + j] ^ (block >> (j * 8)));
-    }
+  std::size_t i = 0;
+  std::uint64_t word = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::memcpy(&word, src + i, 8);
+    word ^= mix(base ^ (i / 8));
+    std::memcpy(dst + i, &word, 8);
+  }
+  if (i < n) {  // final partial block
+    std::memcpy(&word, src + i, n - i);
+    word ^= mix(base ^ (i / 8));
+    std::memcpy(dst + i, &word, n - i);
   }
 }
 
-/// 16-byte tag over the plaintext (keyed digest). The first 8 bytes are a
-/// serial mix chain (one data-dependent mix per byte — deliberately slow to
-/// forge); the last 8 are a keyed polynomial checksum.
-std::array<std::uint8_t, kAeadOverhead> compute_tag(std::uint64_t secret,
-                                                    std::uint8_t domain,
-                                                    std::uint64_t seq,
-                                                    util::BytesView plaintext) noexcept {
-  std::uint64_t h1 = mix(secret ^ 0x746167u ^ seq);  // "tag"
-  std::uint64_t h2 = mix(h1 ^ domain);
-  for (const std::uint8_t b : plaintext) {
-    h1 = mix(h1 ^ b);
-    h2 = h2 * 31 + b;
-  }
-  std::array<std::uint8_t, kAeadOverhead> tag{};
-  for (int i = 0; i < 8; ++i) {
-    tag[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(h1 >> (i * 8));
-    tag[static_cast<std::size_t>(i) + 8] = static_cast<std::uint8_t>(h2 >> (i * 8));
-  }
-  return tag;
-}
-
-/// The polynomial half of the tag, unrolled 8 bytes per step (the eight
-/// product terms are independent, so this runs at memory speed while the
-/// per-byte form is latency-bound on the multiply). Identical value to the
-/// `h2` accumulator in compute_tag.
+/// The polynomial checksum h = h*31 + b over the plaintext, unrolled 8 bytes
+/// per step (the eight product terms are independent, so this runs at memory
+/// speed while the per-byte form is latency-bound on the multiply).
 std::uint64_t poly_checksum(std::uint64_t h2, util::BytesView plaintext) noexcept {
   constexpr std::uint64_t kP = 31;
   constexpr std::uint64_t kP2 = kP * kP, kP3 = kP2 * kP, kP4 = kP3 * kP;
@@ -75,6 +63,22 @@ std::uint64_t poly_checksum(std::uint64_t h2, util::BytesView plaintext) noexcep
   }
   while (n-- > 0) h2 = h2 * kP + *b++;
   return h2;
+}
+
+/// 16-byte tag over the plaintext (keyed digest): h2 || mix(k ^ h2), each
+/// half little-endian, where k = mix(secret ^ "tag" ^ seq) and h2 is the
+/// polynomial checksum seeded with mix(k ^ domain).
+std::array<std::uint8_t, kAeadOverhead> compute_tag(std::uint64_t secret,
+                                                    std::uint8_t domain,
+                                                    std::uint64_t seq,
+                                                    util::BytesView plaintext) noexcept {
+  const std::uint64_t k = mix(secret ^ 0x746167u ^ seq);  // "tag"
+  const std::uint64_t h2 = poly_checksum(mix(k ^ domain), plaintext);
+  const std::uint64_t h1 = mix(k ^ h2);
+  std::array<std::uint8_t, kAeadOverhead> tag{};
+  std::memcpy(tag.data(), &h2, 8);
+  std::memcpy(tag.data() + 8, &h1, 8);
+  return tag;
 }
 
 ContentType check_type(std::uint8_t raw) {
@@ -98,7 +102,6 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
   // Quantized chunks leave one byte of headroom for the content marker.
   const std::size_t chunk_limit = quantize ? kMaxPlaintext - 1 : kMaxPlaintext;
   std::size_t off = 0;
-  std::array<std::uint8_t, kMaxPlaintext> scratch;
   std::array<std::uint8_t, kMaxPlaintext> padded;
   do {
     const std::size_t chunk = std::min(plaintext.size() - off, chunk_limit);
@@ -122,8 +125,8 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
     w.u8(static_cast<std::uint8_t>(type));
     w.u16(kVersionTls12);
     w.u16(util::narrow<std::uint16_t>(content_len + kAeadOverhead));
-    keystream_xor(secret_, domain_, seq, piece.data(), scratch.data(), content_len);
-    w.bytes(util::BytesView(scratch.data(), content_len));
+    keystream_xor(secret_, domain_, seq, piece.data(), w.append(content_len),
+                  content_len);
     const auto tag = compute_tag(secret_, domain_, seq, piece);
     w.bytes(util::BytesView(tag.data(), tag.size()));
     obs::count(obs::Counter::kTlsRecordsSealed);
@@ -162,20 +165,9 @@ OpenContext::Record OpenContext::open_one(util::BytesView wire, std::size_t& con
   util::Bytes plaintext(ptext_len);
   keystream_xor(secret_, domain_, seq, wire.data() + kHeaderBytes, plaintext.data(),
                 ptext_len);
-  // Verify the polynomial half of the tag (a full 64-bit keyed check).
-  // Corruption, truncation-at-record-granularity, replay, wrong secret and
-  // wrong direction all perturb it exactly like the serial half, but it
-  // vectorises — re-walking the serial mix chain here would put the
-  // receive path back on the latency-bound critical path the seal side
-  // already pays once to produce the wire bytes.
-  const std::uint64_t h1 = mix(secret_ ^ 0x746167u ^ seq);
-  const std::uint64_t expect_h2 = poly_checksum(mix(h1 ^ domain_), plaintext);
-  const util::BytesView got = wire.subspan(kHeaderBytes + ptext_len, kAeadOverhead);
-  std::uint64_t got_h2 = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    got_h2 |= static_cast<std::uint64_t>(got[8 + i]) << (i * 8);
-  }
-  if (got_h2 != expect_h2) {
+  const auto expect = compute_tag(secret_, domain_, seq, plaintext);
+  if (!std::equal(expect.begin(), expect.end(), wire.begin() +
+                  static_cast<std::ptrdiff_t>(kHeaderBytes + ptext_len))) {
     throw TlsError("open_one: authentication failure (corrupted or out-of-order record)");
   }
   consumed = kHeaderBytes + hdr.ciphertext_len;

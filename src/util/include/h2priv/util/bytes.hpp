@@ -76,6 +76,14 @@ class ByteWriter {
   void bytes(std::string_view v);
   /// Appends `n` copies of `fill`.
   void fill(std::size_t n, std::uint8_t fill_byte);
+  /// Appends `n` bytes the caller must write through the returned pointer
+  /// before the next call on this writer (encoders that produce in place).
+  [[nodiscard]] std::uint8_t* append(std::size_t n) {
+    ensure(n);
+    std::uint8_t* at = data_ + len_;
+    len_ += n;
+    return at;
+  }
 
   /// Guarantees room for `n` more bytes without reallocation.
   void reserve(std::size_t n) { ensure(n); }

@@ -19,8 +19,11 @@
 namespace h2priv::capture {
 namespace {
 
+// Keyed on the running test too: ctest runs each test of a fixture as its
+// own process, in parallel, so a name shared across tests would collide.
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "h2t_format_" + name + ".h2t";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "h2t_format_" + info->name() + "_" + name + ".h2t";
 }
 
 util::Bytes slurp(const std::string& path) {

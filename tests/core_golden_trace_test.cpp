@@ -2,10 +2,13 @@
 // packet's wire bytes and every scored field bit-identical across data-path
 // refactors (zero-copy buffers, encoder changes, ...).
 //
-// Expected digests were captured on the deque-SendBuffer / copying wire
-// path (pre pooled-buffer rewrite); the pooled path must reproduce them
-// exactly. If an *intentional* wire-format change lands, re-capture by
-// running this test and pasting the printed actual values.
+// The scored digests and packet counts were captured on the deque-SendBuffer
+// / copying wire path (before the pooled-buffer rewrite) and have not moved
+// since. The wire digests were re-captured when the record tag became
+// `poly || mix(k ^ poly)` and object bodies took eight bytes per splitmix
+// step: both change payload bytes only, never a length or an event. If an
+// *intentional* wire-format change lands, re-capture by running this test
+// and pasting the printed actual values.
 #include "trace_hash.hpp"
 
 #include <cinttypes>
@@ -26,16 +29,16 @@ struct GoldenCase {
   std::uint64_t expect_packets;
 };
 
-// Captured at the seed commit of this PR (see file comment).
+// See the file comment for where each column was captured.
 constexpr GoldenCase kCases[] = {
     {"fig2_spacing50_seed1000", 1000, false, 50,
-     0x251e83eaeb830c9full, 0x4a7dbe2272a1ca5aull, 3348},
+     0x605dd676591bcf1aull, 0x4a7dbe2272a1ca5aull, 3348},
     {"fig2_spacing50_seed1001", 1001, false, 50,
-     0x1ca05d29fcfd3952ull, 0x84610254b25132ccull, 3532},
+     0xa6ce58805f9010ffull, 0x84610254b25132ccull, 3532},
     {"table2_attack_seed1000", 1000, true, 0,
-     0xa44055df1eacd18bull, 0x6876aa6f9e75ea2cull, 5692},
+     0x245b92ce6831faafull, 0x6876aa6f9e75ea2cull, 5692},
     {"table2_attack_seed1001", 1001, true, 0,
-     0x8eecf2eed2ef2175ull, 0xfa83d05631f1a3caull, 5706},
+     0xf56bb2a22d688247ull, 0xfa83d05631f1a3caull, 5706},
 };
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
