@@ -1,15 +1,15 @@
 // .h2t v2 block-codec throughput: the adaptive range coder (order-1 model,
 // 64 KiB blocks) measured on the real column streams of freshly captured
-// traces, plus the end-to-end v2 read path (TraceReader::open — full section
-// decode through the block cache).
+// traces, plus the end-to-end v2 read path (TraceFile::open + check_all —
+// full section decode through the block cache).
 //
 // Phase 1 captures a corpus. Phase 2 pulls every compressed section's raw
 // column bytes back out by decoding its blocks directly with rc_decompress —
 // the same material the writer fed the coder. Phase 3 times rc_compress over
 // those blocks, phase 4 times rc_decompress, and both hard-fail unless the
 // round trip is byte-exact and a second encode pass is byte-identical to
-// the first (codec determinism). Phase 5 times eager TraceReader::open over
-// the corpus — the number a cold corpus scan actually sees.
+// the first (codec determinism). Phase 5 times TraceFile::open + check_all
+// over the corpus — the number a cold corpus scan actually sees.
 //
 //   $ ./bench_codec [runs] [--jobs N]
 #include <chrono>
@@ -21,7 +21,6 @@
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/trace_codec.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/corpus/store.hpp"
 #include "h2priv/util/range_coder.hpp"
@@ -60,6 +59,9 @@ int main(int argc, char** argv) {
   cfg.capture.corpus_dir = root;
   cfg.capture.scenario = "table2";
   (void)core::run_many(cfg, runs, bench::Harness::instance().jobs);
+  // run_many bypasses run_batch; counting the traces here is what makes
+  // collect_bench gate this bench's deterministic counters.
+  bench::Harness::instance().total_runs += runs;
   const corpus::Corpus corpus = corpus::load_corpus(root);
 
   // Phase 2: recover every compressed section's raw column blocks by
@@ -187,16 +189,16 @@ int main(int argc, char** argv) {
                          (1024.0 * 1024.0) / dec_wall
                    : 0.0;
 
-  // Phase 5: end-to-end cold read — eager TraceReader::open decodes every
-  // section of every trace through the block cache.
+  // Phase 5: end-to-end cold read — TraceFile::open + check_all decodes
+  // every section of every trace through the block cache.
   const int open_reps = 5;
   std::uint64_t decoded_packets = 0;
   const double o0 = now_s();
   for (int rep = 0; rep < open_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
-      const capture::TraceReader trace =
-          capture::TraceReader::open(trace_path(corpus, e));
-      decoded_packets += trace.packets().size();
+      const capture::TraceFile trace = capture::TraceFile::open(trace_path(corpus, e));
+      trace.check_all();
+      decoded_packets += trace.packet_count();
     }
   }
   const double open_wall = now_s() - o0;

@@ -1,7 +1,8 @@
 // Corpus-scale scoring throughput: the records-direct pipeline (mmap'd
 // TraceFile + score_stored machinery, no TCP reassembly) versus the
-// sequential per-trace baseline (eager TraceReader::open + capture::replay
-// per verdict).
+// sequential per-trace baseline (TraceFile::open + a full capture::replay
+// per verdict: every section decoded, every packet re-fed through the
+// monitor).
 //
 // Phase 1 generates a sharded corpus (live runs, capture on). Phase 2 times
 // the baseline; phase 3 times corpus::score_corpus at --jobs 1 — the
@@ -18,7 +19,7 @@
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/corpus/score.hpp"
 #include "h2priv/corpus/store.hpp"
 
@@ -69,6 +70,9 @@ int main(int argc, char** argv) {
   const double gen0 = now_s();
   (void)corpus::generate_sharded(cfg, runs, corpus::ShardOptions{5},
                                  bench::Harness::instance().jobs);
+  // generate_sharded bypasses run_batch; counting the traces here is what
+  // makes collect_bench gate this bench's deterministic counters.
+  bench::Harness::instance().total_runs += runs;
   const double generate_wall = now_s() - gen0;
   const corpus::Corpus corpus = corpus::load_corpus(root);
   std::uint64_t corpus_bytes = 0;
@@ -79,15 +83,14 @@ int main(int argc, char** argv) {
               corpus.manifest.entries.size(),
               static_cast<double>(corpus_bytes) / 1024.0, generate_wall);
 
-  // Phase 2: baseline — sequential eager open + full replay per trace.
+  // Phase 2: baseline — sequential open + full replay per trace.
   const int baseline_reps = 2;
   int mismatches = 0;
   const double b0 = now_s();
   for (int rep = 0; rep < baseline_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
-      const capture::TraceReader trace =
-          capture::TraceReader::open(trace_path(corpus, e));
-      const capture::ReplayResult r = capture::replay(trace);
+      const capture::ReplayResult r =
+          capture::replay(capture::TraceFile::open(trace_path(corpus, e)));
       if (!r.records_match || !r.summary_matches) ++mismatches;
     }
   }
@@ -128,7 +131,7 @@ int main(int argc, char** argv) {
       corpus::format_report(corpus::score_corpus(corpus, options)) == report_text;
 
   const double rss_mib = peak_rss_mib();
-  std::printf("baseline: %.1f traces/s (eager open + full replay, sequential)\n",
+  std::printf("baseline: %.1f traces/s (open + full replay, sequential)\n",
               baseline_traces_per_s);
   std::printf("pipeline: %.1f traces/s, %.1f MiB/s, %.1fx speedup at 1 job\n",
               score_traces_per_s, score_mib_per_s, speedup);

@@ -80,6 +80,11 @@ int main(int argc, char** argv) {
       fleet::run_fleet_corpus(cfg4, runs, core::Parallelism{4});
   const double parallel_wall = now_s() - t1;
 
+  // run_fleet_corpus bypasses run_batch; counting both corpora's traces
+  // here is what makes collect_bench gate this bench's deterministic
+  // counters.
+  bench::Harness::instance().total_runs += 2 * runs;
+
   const bool manifests_identical =
       slurp(dir1 + "/manifest.txt") == slurp(dir4 + "/manifest.txt") &&
       !slurp(dir1 + "/manifest.txt").empty();

@@ -3,7 +3,8 @@
 // full simulation per verdict.
 //
 // Phase 1 captures a small corpus (live runs, capture tap on); phase 2
-// replays every trace repeatedly and times only the offline pipeline. The
+// replays every mapped trace repeatedly and times the offline pipeline:
+// TraceFile section decode plus the replay. The
 // headline metrics are replayed packets/s and the speedup over live, plus
 // the trace compression ratio (canonical raw footprint / .h2t bytes).
 //
@@ -19,7 +20,7 @@
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 
 using namespace h2priv;
 
@@ -40,18 +41,19 @@ int main(int argc, char** argv) {
   std::printf("capture:\n");
   bench::print_batch_perf(live);
 
-  // Load once; replay timing should not include file I/O or parsing.
-  std::vector<capture::TraceReader> traces;
+  // Map once; replay timing covers section decode plus the replay itself,
+  // not file I/O.
+  std::vector<capture::TraceFile> traces;
   std::uint64_t trace_bytes = 0, raw_bytes = 0, total_packets = 0;
   traces.reserve(static_cast<std::size_t>(runs));
   for (int i = 0; i < runs; ++i) {
     const std::uint64_t seed = 1'000 + static_cast<std::uint64_t>(i);
     traces.push_back(
-        capture::TraceReader::open(corpus + "/" + capture::trace_filename(seed)));
-    const capture::TraceReader& t = traces.back();
+        capture::TraceFile::open(corpus + "/" + capture::trace_filename(seed)));
+    const capture::TraceFile& t = traces.back();
     trace_bytes += t.file_size();
-    total_packets += t.packets().size();
-    raw_bytes += t.packets().size() * capture::kRawPacketBytes +
+    total_packets += t.packet_count();
+    raw_bytes += t.packet_count() * capture::kRawPacketBytes +
                  (t.records(net::Direction::kClientToServer).size() +
                   t.records(net::Direction::kServerToClient).size()) *
                      capture::kRawRecordBytes;
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
   int verdict_mismatches = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    for (const capture::TraceReader& trace : traces) {
+    for (const capture::TraceFile& trace : traces) {
       const capture::ReplayResult r = capture::replay(trace);
       if (!r.records_match || !r.summary_matches) ++verdict_mismatches;
     }

@@ -13,13 +13,13 @@
 // states as the live run — retransmissions, reordering and all — so the
 // recomputed records, GET count, verdicts and DoM values are bit-identical.
 //
-// Two replay engines share that construction:
-//  - replay_into(TraceReader&, ...): eager — materializes both full
-//    per-direction streams (O(stream bytes) memory).
-//  - replay_into(TraceFile&, ...): chunked — streams packets off the mmap'd
-//    image with a PacketCursor and synthesizes each packet's payload into a
-//    reusable scratch buffer, so peak memory is O(records + one packet), not
-//    O(stream bytes). Bit-identical monitor state to the eager engine.
+// One engine does the feeding: packets stream off the mmap'd image through a
+// PacketCursor (or off a demuxed fleet connection), and each packet's payload
+// is synthesized into a reusable scratch buffer, so peak memory is
+// O(records + one packet), never O(stream bytes). Hostile lengths are
+// refused with TraceError before anything is sized from them: record
+// lengths are 16-bit, packet payloads fit an IPv4 datagram, and a packet's
+// sequence range may not wrap.
 //
 // The scoring half (score_with_predictor / count_gets) is split out so the
 // corpus pipeline can score straight off stored record sections without any
@@ -29,7 +29,6 @@
 #include <span>
 
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/monitor.hpp"
 #include "h2priv/core/predictor.hpp"
@@ -44,17 +43,6 @@ struct ReplayResult {
   /// Stored summary present and equal to the recomputed one.
   bool summary_matches = false;
 };
-
-/// Feeds every stored packet through `monitor` via synthesized payloads.
-/// The monitor must be freshly constructed (standalone ctor). Throws
-/// TraceError if the trace's streams cannot be synthesized faithfully.
-void replay_into(const TraceReader& trace, core::TrafficMonitor& monitor);
-
-/// Chunked engine: same observable monitor state as the eager overload, but
-/// packets stream off the trace and payloads are synthesized per packet into
-/// a reusable scratch buffer. Requires records sorted by stream offset (what
-/// TraceWriter emits). Peak memory: O(records) + one packet payload.
-void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 
 /// Applies TrafficMonitor's GET filter (application-data records whose
 /// plaintext estimate lies in [min,max], after the setup skip) to a stored
@@ -82,15 +70,14 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 /// truth. This is the corpus pipeline's fast path.
 [[nodiscard]] TraceSummary score_stored(const TraceFile& trace);
 
-/// Full offline pipeline: replay_into a fresh monitor, then score with
-/// core::ObjectPredictor against the stored ground truth and metadata,
-/// mirroring core::run_once's scoring step. Requires ground truth (and uses
-/// the stored summary, when present, for the fidelity cross-check).
-[[nodiscard]] ReplayResult replay(const TraceReader& trace);
-
-/// Chunked-engine variant of replay() over a lazy TraceFile; the monitor
-/// runs with packet retention off, so peak memory stays bounded regardless
-/// of trace length. Verdict-identical to replay().
+/// Full offline pipeline: feeds every stored packet through a fresh monitor
+/// (packet retention off, so memory stays bounded regardless of trace
+/// length), then scores with core::ObjectPredictor against the stored ground
+/// truth and metadata, mirroring core::run_once's scoring step. Requires
+/// ground truth and records sorted by stream offset (what TraceWriter
+/// emits); the stored summary, when present, is the fidelity cross-check.
+/// Throws TraceError if the trace's streams cannot be synthesized
+/// faithfully.
 [[nodiscard]] ReplayResult replay(const TraceFile& trace);
 
 /// One client connection demultiplexed out of a fleet trace. Observation
@@ -112,13 +99,9 @@ struct DemuxedConn {
 /// disagreeing with the packet/record sections, ...).
 [[nodiscard]] std::vector<DemuxedConn> demux_fleet(const TraceFile& trace);
 
-/// Replays one demuxed connection through a fresh monitor and scores it —
-/// the per-client analogue of replay(); the stored per-connection summary is
-/// the fidelity cross-check.
-[[nodiscard]] ReplayResult replay_conn(const DemuxedConn& conn);
-
 /// Demultiplexes and replays every connection of a fleet trace, in
-/// connection-id order.
+/// connection-id order, each through the same engine as replay(); each
+/// connection's stored summary is its fidelity cross-check.
 [[nodiscard]] std::vector<ReplayResult> replay_fleet(const TraceFile& trace);
 
 }  // namespace h2priv::capture

@@ -97,6 +97,11 @@ inline constexpr std::uint64_t kMaxBlockBytes = 4 * 1024 * 1024;
 inline constexpr std::uint64_t kRawPacketBytes = 42;  // t8 dir1 wire8 seq8 ack8 fl1 len8
 inline constexpr std::uint64_t kRawRecordBytes = 26;  // t8 dir1 type1 len8 off8
 
+/// Largest packet payload a reader accepts: what fits in the 16-bit IPv4
+/// total length behind the 20-byte IPv4 and TCP headers pcap export
+/// synthesizes.
+inline constexpr std::size_t kMaxPayloadBytes = 65535 - 40;
+
 class TraceError : public std::runtime_error {
  public:
   explicit TraceError(const std::string& what) : std::runtime_error(what) {}

@@ -1,20 +1,21 @@
 // Structural access to a .h2t image: validation, the section index, and the
 // section decoders — shared by every reader path.
 //
-// Three layers build on this file:
+// Two layers build on this file, and they are the only way to read a trace:
 //   TraceFile    lazy, zero-copy: mmaps the file (util::MappedFile), checks
 //                the skeleton once, and decodes only the sections a caller
-//                asks for. The corpus scoring pipeline's reader — a scorer
-//                that needs meta + records never touches the packet bytes.
-//   TraceReader  eager: decodes everything into vectors up front
-//                (trace_reader.hpp; implemented on top of these decoders).
+//                asks for. A scorer that needs meta + records never touches
+//                the packet bytes; check_all() decodes every section when a
+//                caller wants the whole file vetted up front.
 //   PacketCursor streaming: yields one PacketObservation at a time from the
-//                packets section, O(1) memory — what chunked replay iterates
-//                so multi-hour traces never materialize a packet vector.
+//                packets section, O(1) memory — what replay iterates so
+//                multi-hour traces never materialize a packet vector.
 //
 // Validation here is hardened against hostile input: wrong magics, truncated
 // trailers, section offsets past EOF, overlapping sections and implausible
-// entry counts all raise TraceError before any decoder touches the payload.
+// entry counts all raise TraceError before any decoder touches the payload,
+// and decoded lengths are bounded by the wire fields they stand for (16-bit
+// TLS record lengths, IPv4-sized packet payloads).
 #pragma once
 
 #include <array>
@@ -99,7 +100,8 @@ class PacketCursor {
                BlockDirectory& dir, std::uint64_t count);
 
   /// Decodes the next packet into `out`; false when the section is
-  /// exhausted. Throws TraceError on malformed input.
+  /// exhausted. Throws TraceError on malformed input, including a payload
+  /// longer than kMaxPayloadBytes.
   bool next(analysis::PacketObservation& out);
 
   [[nodiscard]] std::uint64_t remaining() const noexcept { return left_; }
@@ -123,7 +125,8 @@ class PacketCursor {
 /// views returned by section_bytes() are zero-copy.
 class TraceFile {
  public:
-  /// Maps and validates `path`. Throws TraceError.
+  /// Maps and validates `path`; counts one capture.traces_read. Throws
+  /// TraceError.
   [[nodiscard]] static TraceFile open(const std::string& path);
 
   /// Validates an in-memory image the caller owns elsewhere (testing).
@@ -165,6 +168,11 @@ class TraceFile {
   /// packets/records sections and every id must be below the fleet
   /// connection count. Throws TraceError on any inconsistency.
   [[nodiscard]] ConnIdColumns conn_ids() const;
+
+  /// Decodes every present section (packets, records, ground truth,
+  /// summary, fleet, connection ids) and discards the result: the
+  /// whole-file check. Throws TraceError on the first fault.
+  void check_all() const;
 
   [[nodiscard]] std::uint64_t file_size() const noexcept { return image_.size(); }
   /// FNV-1a 64 of the whole image, chunk-streamed; computed once, cached.

@@ -11,69 +11,12 @@ namespace h2priv::capture {
 
 namespace {
 
-/// Builds the synthetic byte stream one direction carried: zeros, with a
-/// real TLS header at every recorded record offset and (when the stream
-/// ends mid-record) a phantom header whose declared body can never complete
-/// within the remaining bytes.
-[[nodiscard]] util::Bytes synthesize_stream(
-    const std::vector<analysis::PacketObservation>& packets,
-    const std::vector<analysis::RecordObservation>& records, net::Direction dir) {
-  // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies seq 0).
-  std::uint64_t total = 0;
-  for (const analysis::PacketObservation& p : packets) {
-    if (p.dir != dir || p.payload_len == 0) continue;
-    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
-    total = std::max(total, p.seq - 1 + p.payload_len);
-  }
-  util::Bytes stream(static_cast<std::size_t>(total), 0);
-
-  std::uint64_t last_end = 0;  // end of the last complete record
-  for (const analysis::RecordObservation& rec : records) {
-    const std::uint64_t off = rec.stream_offset;
-    if (off + tls::kHeaderBytes > total) {
-      throw TraceError("record header extends past the synthesized stream");
-    }
-    stream[static_cast<std::size_t>(off)] = static_cast<std::uint8_t>(rec.type);
-    stream[static_cast<std::size_t>(off) + 1] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 >> 8);
-    stream[static_cast<std::size_t>(off) + 2] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 & 0xff);
-    stream[static_cast<std::size_t>(off) + 3] =
-        static_cast<std::uint8_t>(rec.ciphertext_len >> 8);
-    stream[static_cast<std::size_t>(off) + 4] =
-        static_cast<std::uint8_t>(rec.ciphertext_len & 0xff);
-    last_end = std::max(last_end, off + tls::kHeaderBytes + rec.ciphertext_len);
-  }
-
-  // Trailing bytes belong to a record the live run never saw complete. Fewer
-  // than 5 of them can't even form a header (the scanner just waits); for 5+
-  // plant a phantom application-data header declaring the maximum body — the
-  // scanner parses it and waits forever, exactly like the live partial
-  // record, as long as the remainder can't satisfy the declared length.
-  const std::uint64_t trailing = total - last_end;
-  if (trailing >= tls::kHeaderBytes) {
-    const std::uint64_t phantom_body = trailing - tls::kHeaderBytes;
-    if (phantom_body >= 0xffff) {
-      throw TraceError("unfinished trailing record too large to synthesize");
-    }
-    stream[static_cast<std::size_t>(last_end)] =
-        static_cast<std::uint8_t>(tls::ContentType::kApplicationData);
-    stream[static_cast<std::size_t>(last_end) + 1] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 >> 8);
-    stream[static_cast<std::size_t>(last_end) + 2] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 & 0xff);
-    stream[static_cast<std::size_t>(last_end) + 3] = 0xff;
-    stream[static_cast<std::size_t>(last_end) + 4] = 0xff;
-  }
-  return stream;
-}
-
-/// One direction's stream, synthesized a packet at a time instead of whole:
-/// given a [start, start+len) range of stream offsets, writes the bytes the
-/// full synthesize_stream() would hold there — zeros, overlapped by any real
-/// record headers and the phantom trailing header. Bit-identical output to
-/// slicing the eager stream, with O(1) memory beyond the record vector the
-/// caller already owns.
+/// The synthetic byte stream one direction carried, produced a packet at a
+/// time: zeros, with a real TLS header at every recorded record offset and
+/// (when the stream ends mid-record) a phantom header whose declared body
+/// can never complete within the remaining bytes. Given a [start, start+len)
+/// range of stream offsets, materialize() writes the bytes that range holds,
+/// with O(1) memory beyond the record vector the caller already owns.
 class ChunkSynthesizer {
  public:
   ChunkSynthesizer(const std::vector<analysis::RecordObservation>& records,
@@ -93,6 +36,12 @@ class ChunkSynthesizer {
       prev = off;
       last_end_ = std::max(last_end_, off + tls::kHeaderBytes + rec.ciphertext_len);
     }
+    // Trailing bytes belong to a record the live run never saw complete.
+    // Fewer than 5 of them can't even form a header (the scanner just
+    // waits); for 5+ plant a phantom application-data header declaring the
+    // maximum body — the scanner parses it and waits forever, exactly like
+    // the live partial record, as long as the remainder can't satisfy the
+    // declared length.
     const std::uint64_t trailing = total_ - last_end_;
     if (trailing >= tls::kHeaderBytes) {
       if (trailing - tls::kHeaderBytes >= 0xffff) {
@@ -191,20 +140,50 @@ class ChunkSynthesizer {
   return v;
 }
 
-[[nodiscard]] ReplayResult finish_replay(
+/// The replay engine: feeds every packet `walk` yields through a fresh
+/// monitor, payloads synthesized per packet into one reusable scratch
+/// buffer, then checks the recomputed records against the stored ones and
+/// scores the result. `walk(fn)` calls fn once per packet in capture order
+/// and must be repeatable: pass 1 measures each direction's stream extent,
+/// pass 2 drives the monitor.
+template <typename Walk>
+[[nodiscard]] ReplayResult run_replay(
     const TraceMeta& meta, const analysis::GroundTruth& truth,
-    const core::TrafficMonitor& monitor,
-    const std::vector<analysis::RecordObservation>& stored_c2s,
-    const std::vector<analysis::RecordObservation>& stored_s2c,
-    const std::optional<TraceSummary>& stored_summary) {
+    const std::vector<analysis::RecordObservation>& c2s,
+    const std::vector<analysis::RecordObservation>& s2c,
+    const std::optional<TraceSummary>& stored_summary, const Walk& walk) {
+  // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies seq 0).
+  std::array<std::uint64_t, 2> total{};
+  walk([&](const analysis::PacketObservation& p) {
+    if (p.payload_len == 0) return;
+    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
+    const std::uint64_t end = p.seq - 1 + p.payload_len;
+    if (end < p.seq - 1) throw TraceError("data packet's sequence range wraps");
+    std::uint64_t& t = total[static_cast<std::size_t>(p.dir)];
+    t = std::max(t, end);
+  });
+  const std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(c2s, total[0]),
+                                                 ChunkSynthesizer(s2c, total[1])};
+
+  core::MonitorConfig config;
+  config.retain_packets = false;  // O(1) packet memory
+  core::TrafficMonitor monitor(config);
+  util::Bytes scratch;
+  walk([&](const analysis::PacketObservation& p) {
+    util::BytesView payload;
+    if (p.payload_len > 0) {
+      payload = synth[static_cast<std::size_t>(p.dir)].materialize(
+          p.seq - 1, p.payload_len, scratch);
+    }
+    monitor.observe(p, payload);
+  });
+
   ReplayResult result;
   result.records_match =
-      same_records(monitor.records(net::Direction::kClientToServer), stored_c2s) &&
-      same_records(monitor.records(net::Direction::kServerToClient), stored_s2c);
-
+      same_records(monitor.records(net::Direction::kClientToServer), c2s) &&
+      same_records(monitor.records(net::Direction::kServerToClient), s2c);
   const core::ObjectPredictor predictor(monitor, core::isidewith_catalog());
-  result.summary = score_with_predictor(meta, truth, predictor,
-                                        monitor.packets_seen(),
+  result.summary = score_with_predictor(meta, truth, predictor, monitor.packets_seen(),
                                         monitor.get_count());
   result.summary_matches =
       stored_summary.has_value() && *stored_summary == result.summary;
@@ -212,54 +191,6 @@ class ChunkSynthesizer {
 }
 
 }  // namespace
-
-void replay_into(const TraceReader& trace, core::TrafficMonitor& monitor) {
-  const std::vector<analysis::PacketObservation>& packets = trace.packets();
-  const std::array<util::Bytes, 2> streams = {
-      synthesize_stream(packets, trace.records(net::Direction::kClientToServer),
-                        net::Direction::kClientToServer),
-      synthesize_stream(packets, trace.records(net::Direction::kServerToClient),
-                        net::Direction::kServerToClient)};
-  for (const analysis::PacketObservation& p : packets) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      const util::Bytes& stream = streams[static_cast<std::size_t>(p.dir)];
-      payload = util::BytesView{stream.data() + (p.seq - 1), p.payload_len};
-    }
-    monitor.observe(p, payload);
-  }
-}
-
-void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor) {
-  const std::array<std::vector<analysis::RecordObservation>, 2> records = {
-      trace.records(net::Direction::kClientToServer),
-      trace.records(net::Direction::kServerToClient)};
-
-  // Pass 1: per-direction stream extents, O(1) memory.
-  std::array<std::uint64_t, 2> total{};
-  analysis::PacketObservation p;
-  for (PacketCursor cursor = trace.packets(); cursor.next(p);) {
-    if (p.payload_len == 0) continue;
-    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
-    std::uint64_t& t = total[static_cast<std::size_t>(p.dir)];
-    t = std::max(t, p.seq - 1 + p.payload_len);
-  }
-  const std::array<ChunkSynthesizer, 2> synth = {
-      ChunkSynthesizer(records[0], total[0]),
-      ChunkSynthesizer(records[1], total[1])};
-
-  // Pass 2: stream packets through the monitor, materializing each payload
-  // into one reusable scratch buffer.
-  util::Bytes scratch;
-  for (PacketCursor cursor = trace.packets(); cursor.next(p);) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      payload = synth[static_cast<std::size_t>(p.dir)].materialize(
-          p.seq - 1, p.payload_len, scratch);
-    }
-    monitor.observe(p, payload);
-  }
-}
 
 std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records,
                         const core::MonitorConfig& config) {
@@ -339,16 +270,6 @@ TraceSummary score_stored(const TraceFile& trace) {
                               trace.packet_count(), count_gets(c2s));
 }
 
-ReplayResult replay(const TraceReader& trace) {
-  core::TrafficMonitor monitor;
-  replay_into(trace, monitor);
-  std::optional<TraceSummary> stored;
-  if (trace.has_summary()) stored = trace.summary();
-  return finish_replay(trace.meta(), trace.ground_truth(), monitor,
-                       trace.records(net::Direction::kClientToServer),
-                       trace.records(net::Direction::kServerToClient), stored);
-}
-
 std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
   if (!trace.meta().fleet) throw TraceError("not a fleet trace");
   std::vector<FleetConn> conns = trace.fleet();
@@ -388,43 +309,33 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
   return out;
 }
 
-ReplayResult replay_conn(const DemuxedConn& conn) {
-  core::TrafficMonitor monitor;
-  const std::array<util::Bytes, 2> streams = {
-      synthesize_stream(conn.packets, conn.records_c2s,
-                        net::Direction::kClientToServer),
-      synthesize_stream(conn.packets, conn.records_s2c,
-                        net::Direction::kServerToClient)};
-  for (const analysis::PacketObservation& p : conn.packets) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      const util::Bytes& stream = streams[static_cast<std::size_t>(p.dir)];
-      payload = util::BytesView{stream.data() + (p.seq - 1), p.payload_len};
-    }
-    monitor.observe(p, payload);
-  }
-  return finish_replay(conn.meta, conn.info.truth, monitor, conn.records_c2s,
-                       conn.records_s2c, conn.info.summary);
-}
-
 std::vector<ReplayResult> replay_fleet(const TraceFile& trace) {
   const std::vector<DemuxedConn> conns = demux_fleet(trace);
   std::vector<ReplayResult> out;
   out.reserve(conns.size());
-  for (const DemuxedConn& conn : conns) out.push_back(replay_conn(conn));
+  for (const DemuxedConn& conn : conns) {
+    const auto walk = [&](const auto& fn) {
+      for (const analysis::PacketObservation& p : conn.packets) fn(p);
+    };
+    out.push_back(run_replay(conn.meta, conn.info.truth, conn.records_c2s,
+                             conn.records_s2c, conn.info.summary, walk));
+  }
   return out;
 }
 
 ReplayResult replay(const TraceFile& trace) {
-  core::MonitorConfig config;
-  config.retain_packets = false;  // chunked engine: O(1) packet memory
-  core::TrafficMonitor monitor(config);
-  replay_into(trace, monitor);
+  const std::vector<analysis::RecordObservation> c2s =
+      trace.records(net::Direction::kClientToServer);
+  const std::vector<analysis::RecordObservation> s2c =
+      trace.records(net::Direction::kServerToClient);
+  const analysis::GroundTruth truth = trace.ground_truth();
   std::optional<TraceSummary> stored;
   if (trace.has_section(Section::kSummary)) stored = trace.summary();
-  return finish_replay(trace.meta(), trace.ground_truth(), monitor,
-                       trace.records(net::Direction::kClientToServer),
-                       trace.records(net::Direction::kServerToClient), stored);
+  const auto walk = [&](const auto& fn) {
+    analysis::PacketObservation p;
+    for (PacketCursor cursor = trace.packets(); cursor.next(p);) fn(p);
+  };
+  return run_replay(trace.meta(), truth, c2s, s2c, stored, walk);
 }
 
 }  // namespace h2priv::capture

@@ -13,9 +13,12 @@ namespace h2priv::capture {
 namespace {
 
 /// Runs a decoder body, converting the bounds/format exceptions the byte
-/// primitives throw into the TraceError every reader path promises.
+/// primitives throw into the TraceError every reader path promises. Always
+/// inlined: PacketCursor::next runs it once per packet, and left to itself
+/// gcc stops inlining it there once TraceFile::check_all also calls next,
+/// which slows every replay.
 template <typename Fn>
-auto decode_guard(Fn&& fn) -> decltype(fn()) {
+[[gnu::always_inline]] inline auto decode_guard(Fn&& fn) -> decltype(fn()) {
   try {
     return fn();
   } catch (const util::OutOfBounds& e) {
@@ -72,6 +75,14 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
                                                   std::int64_t b) noexcept {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
                                    static_cast<std::uint64_t>(b));
+}
+
+/// A TLS record header carries its body length in 16 bits; a stored length
+/// past that is corruption (and would be truncated when replay re-plants
+/// the header).
+[[nodiscard]] std::size_t record_len(std::uint64_t len) {
+  if (len > 0xffff) throw TraceError("record length exceeds the 16-bit TLS field");
+  return static_cast<std::size_t>(len);
 }
 
 /// Minimum encoded footprint of one entry, used to reject section counts the
@@ -271,8 +282,8 @@ std::vector<analysis::RecordObservation> decode_records(util::BytesView payload,
       rec.dir = dir;
       rec.type = static_cast<tls::ContentType>(r.u8());
       rec.time.ns = wrapping_add(prev_time_ns, get_svarint(r));
-      rec.ciphertext_len = static_cast<std::size_t>(
-          prev_len + static_cast<std::uint64_t>(get_svarint(r)));
+      rec.ciphertext_len =
+          record_len(prev_len + static_cast<std::uint64_t>(get_svarint(r)));
       rec.stream_offset = prev_off + static_cast<std::uint64_t>(get_svarint(r));
       prev_time_ns = rec.time.ns;
       prev_len = rec.ciphertext_len;
@@ -406,6 +417,9 @@ bool PacketCursor::next(analysis::PacketObservation& out) {
       out.payload_len =
           static_cast<std::size_t>(d.len + static_cast<std::uint64_t>(sv(5)));
     }
+    if (out.payload_len > kMaxPayloadBytes) {
+      throw TraceError("packet payload exceeds an IPv4 datagram");
+    }
     prev_time_ns_ = out.time.ns;
     d.wire = out.wire_size;
     d.seq = out.seq;
@@ -425,6 +439,7 @@ TraceFile TraceFile::open(const std::string& path) {
   }
   f.image_ = f.mapped_.view();
   f.index();
+  obs::count(obs::Counter::kCaptureTracesRead);
   obs::count(obs::Counter::kCorpusBytesMapped, f.image_.size());
   return f;
 }
@@ -455,6 +470,18 @@ void TraceFile::index() {
   if (const SectionInfo* s = section(Section::kMeta)) {
     meta_ = decode_meta(section_view(image_, *s));
   }
+}
+
+void TraceFile::check_all() const {
+  analysis::PacketObservation p;
+  for (PacketCursor cursor = packets(); cursor.next(p);) {
+  }
+  (void)records(net::Direction::kClientToServer);
+  (void)records(net::Direction::kServerToClient);
+  if (has_section(Section::kGroundTruth)) (void)ground_truth();
+  if (has_section(Section::kSummary)) (void)summary();
+  if (has_section(Section::kFleet)) (void)fleet();
+  if (has_section(Section::kConnIds)) (void)conn_ids();
 }
 
 util::BytesView TraceFile::section_bytes(Section id) const {
@@ -503,8 +530,8 @@ std::vector<analysis::RecordObservation> TraceFile::records(
       rec.dir = dir;
       rec.type = static_cast<tls::ContentType>(type.u8());
       rec.time.ns = wrapping_add(prev_time_ns, dtime.svarint());
-      rec.ciphertext_len = static_cast<std::size_t>(
-          prev_len + static_cast<std::uint64_t>(dlen.svarint()));
+      rec.ciphertext_len =
+          record_len(prev_len + static_cast<std::uint64_t>(dlen.svarint()));
       // v2 stores the offset residual against the contiguous-records
       // predictor (see TraceWriter::add_record).
       rec.stream_offset = prev_off + prev_len + tls::kHeaderBytes +

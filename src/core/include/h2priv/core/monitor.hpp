@@ -34,8 +34,8 @@ struct MonitorConfig {
   std::size_t reset_record_max_bytes = 20;
   int reset_records_per_packet_threshold = 8;
 
-  /// Keep a copy of every PacketObservation (packets() accessor). Chunked
-  /// replay turns this off so monitoring a corpus-scale trace costs O(1)
+  /// Keep a copy of every PacketObservation (packets() accessor). Replay
+  /// turns this off so monitoring a corpus-scale trace costs O(1)
   /// memory in packets; packets_seen() stays exact either way.
   bool retain_packets = true;
 };
@@ -45,8 +45,8 @@ class TrafficMonitor {
   TrafficMonitor(net::Middlebox& middlebox, MonitorConfig config = {});
 
   /// Standalone monitor with no live tap: observations are pushed through
-  /// observe() — the offline-replay path (capture::replay_into feeds a
-  /// stored .h2t trace through exactly the live analysis code).
+  /// observe() — the offline-replay path (capture::replay feeds a stored
+  /// .h2t trace through exactly the live analysis code).
   explicit TrafficMonitor(MonitorConfig config = {});
 
   /// Feeds one packet observation plus the visible TCP payload bytes (what

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/obs/metrics.hpp"
@@ -106,27 +105,37 @@ std::string trace_path(const Corpus& corpus, const capture::ManifestEntry& entry
 
 namespace {
 
-/// Re-encodes one v1 trace through the v2 writer, write-to-temp + rename.
-/// The writer is fed observations in the same per-direction order a live
-/// capture produces, so the output is byte-identical to a native v2 trace
-/// of the same run.
-void rewrite_trace(const std::string& path) {
-  const capture::TraceReader reader = capture::TraceReader::open(path);
-  const std::string tmp = path + ".recompress.tmp";
-  capture::TraceWriter writer(tmp, reader.meta());
-  for (const analysis::PacketObservation& p : reader.packets()) {
-    writer.add_packet(p);
-  }
-  for (const net::Direction dir :
-       {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
-    for (const analysis::RecordObservation& r : reader.records(dir)) {
-      writer.add_record(r);
+/// Re-encodes one v1 trace through the v2 writer into `out`. Packets stream
+/// off the cursor straight into the writer, so memory stays bounded by the
+/// record sections. The writer is fed observations in the same
+/// per-direction order a live capture produces, so the output is
+/// byte-identical to a native v2 trace of the same run. A decode fault
+/// removes the partial output before it propagates.
+void rewrite_trace(const capture::TraceFile& trace, const std::string& out) {
+  try {
+    capture::TraceWriter writer(out, trace.meta());
+    analysis::PacketObservation p;
+    for (capture::PacketCursor cursor = trace.packets(); cursor.next(p);) {
+      writer.add_packet(p);
     }
+    for (const net::Direction dir :
+         {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+      for (const analysis::RecordObservation& r : trace.records(dir)) {
+        writer.add_record(r);
+      }
+    }
+    if (trace.has_section(capture::Section::kGroundTruth)) {
+      writer.set_ground_truth(trace.ground_truth());
+    }
+    if (trace.has_section(capture::Section::kSummary)) {
+      writer.set_summary(trace.summary());
+    }
+    writer.finish();
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(out, ignored);
+    throw;
   }
-  if (reader.has_ground_truth()) writer.set_ground_truth(reader.ground_truth());
-  if (reader.has_summary()) writer.set_summary(reader.summary());
-  writer.finish();
-  std::filesystem::rename(tmp, path);
 }
 
 }  // namespace
@@ -146,16 +155,16 @@ RecompressStats recompress_corpus(const std::string& dir,
     const auto at = static_cast<std::size_t>(i);
     capture::ManifestEntry& entry = corpus.manifest.entries[at];
     const std::string path = trace_path(corpus, entry);
-    std::uint16_t version = 0;
+    const std::string tmp = path + ".recompress.tmp";
     {
       const capture::TraceFile trace = capture::TraceFile::open(path);
       before[at] = trace.file_size();
-      version = trace.version();
+      if (trace.version() < capture::kFormatVersion) {
+        rewrite_trace(trace, tmp);
+        upgraded[at] = 1;
+      }
     }
-    if (version < capture::kFormatVersion) {
-      rewrite_trace(path);
-      upgraded[at] = 1;
-    }
+    if (upgraded[at] != 0) std::filesystem::rename(tmp, path);
     entry.digest = capture::digest_file(path);
     const capture::TraceSizes sizes = capture::trace_sizes(path);
     entry.raw_bytes = sizes.raw_bytes;

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/pcap_export.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
@@ -32,6 +32,17 @@ util::Bytes slurp(const std::string& path) {
   return util::Bytes{std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>()};
 }
+
+std::vector<analysis::PacketObservation> all_packets(const TraceFile& trace) {
+  std::vector<analysis::PacketObservation> out;
+  analysis::PacketObservation p;
+  for (PacketCursor cursor = trace.packets(); cursor.next(p);) out.push_back(p);
+  return out;
+}
+
+/// The whole-file check over an in-memory image: opens it and decodes every
+/// section. Throws TraceError on any fault.
+void read_all(util::Bytes image) { TraceFile(std::move(image)).check_all(); }
 
 // --- varint primitives ------------------------------------------------------
 
@@ -104,7 +115,8 @@ std::vector<analysis::PacketObservation> random_packets(sim::Rng& rng, int n) {
     p.seq = static_cast<std::uint64_t>(rng.next());
     p.ack = static_cast<std::uint64_t>(rng.next());
     p.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 0x7f));  // bit 7 reserved
-    p.payload_len = static_cast<std::size_t>(rng.uniform_int(0, 65'535));
+    p.payload_len = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kMaxPayloadBytes)));
     out.push_back(p);
   }
   return out;
@@ -164,25 +176,26 @@ TEST(TraceRoundTrip, ArbitrarySequencesSurviveExactly) {
       writer.finish();
     }
 
-    const TraceReader reader = TraceReader::open(path);
-    ASSERT_EQ(reader.packets().size(), packets.size()) << "seed " << seed;
+    const TraceFile trace = TraceFile::open(path);
+    const auto got_packets = all_packets(trace);
+    ASSERT_EQ(got_packets.size(), packets.size()) << "seed " << seed;
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      ASSERT_TRUE(same_packet(reader.packets()[i], packets[i]))
+      ASSERT_TRUE(same_packet(got_packets[i], packets[i]))
           << "seed " << seed << " packet " << i;
     }
     std::size_t got_records = 0;
     for (const auto dir :
          {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+      const auto stored = trace.records(dir);
       std::size_t j = 0;
       for (const auto& r : records) {
         if (r.dir != dir) continue;
-        ASSERT_LT(j, reader.records(dir).size()) << "seed " << seed;
-        ASSERT_TRUE(same_record(reader.records(dir)[j], r))
-            << "seed " << seed << " record " << j;
+        ASSERT_LT(j, stored.size()) << "seed " << seed;
+        ASSERT_TRUE(same_record(stored[j], r)) << "seed " << seed << " record " << j;
         ++j;
         ++got_records;
       }
-      EXPECT_EQ(reader.records(dir).size(), j) << "seed " << seed;
+      EXPECT_EQ(stored.size(), j) << "seed " << seed;
     }
     EXPECT_EQ(got_records, records.size());
     std::remove(path.c_str());
@@ -194,13 +207,14 @@ TEST(TraceRoundTrip, EmptyRun) {
   TraceMeta meta;
   meta.seed = 7;
   { TraceWriter(path, meta).finish(); }
-  const TraceReader reader = TraceReader::open(path);
-  EXPECT_TRUE(reader.packets().empty());
-  EXPECT_TRUE(reader.records(net::Direction::kClientToServer).empty());
-  EXPECT_TRUE(reader.records(net::Direction::kServerToClient).empty());
-  EXPECT_FALSE(reader.has_ground_truth());
-  EXPECT_FALSE(reader.has_summary());
-  EXPECT_EQ(reader.meta().seed, 7u);
+  const TraceFile trace = TraceFile::open(path);
+  EXPECT_NO_THROW(trace.check_all());
+  EXPECT_TRUE(all_packets(trace).empty());
+  EXPECT_TRUE(trace.records(net::Direction::kClientToServer).empty());
+  EXPECT_TRUE(trace.records(net::Direction::kServerToClient).empty());
+  EXPECT_FALSE(trace.has_section(Section::kGroundTruth));
+  EXPECT_FALSE(trace.has_section(Section::kSummary));
+  EXPECT_EQ(trace.meta().seed, 7u);
   std::remove(path.c_str());
 }
 
@@ -212,15 +226,15 @@ TEST(TraceRoundTrip, MaxLengthPacketFields) {
   p.seq = ~0ULL;
   p.ack = ~0ULL;
   p.flags = 0x7f;
-  p.payload_len = std::numeric_limits<std::uint32_t>::max();
+  p.payload_len = kMaxPayloadBytes;  // readers refuse anything longer
   {
     TraceWriter writer(path, TraceMeta{});
     writer.add_packet(p);
     writer.finish();
   }
-  const TraceReader reader = TraceReader::open(path);
-  ASSERT_EQ(reader.packets().size(), 1u);
-  EXPECT_TRUE(same_packet(reader.packets()[0], p));
+  const auto got = all_packets(TraceFile::open(path));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_TRUE(same_packet(got[0], p));
   std::remove(path.c_str());
 }
 
@@ -269,8 +283,8 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
     writer.finish();
   }
 
-  const TraceReader reader = TraceReader::open(path);
-  const TraceMeta& m = reader.meta();
+  const TraceFile trace = TraceFile::open(path);
+  const TraceMeta& m = trace.meta();
   EXPECT_EQ(m.seed, 99u);
   EXPECT_EQ(m.scenario, "fig2");
   EXPECT_EQ(m.site, "isidewith");
@@ -283,8 +297,9 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
   EXPECT_EQ(m.attack_horizon_ns, meta.attack_horizon_ns);
   EXPECT_EQ(m.party_order, meta.party_order);
 
-  ASSERT_TRUE(reader.has_ground_truth());
-  const auto& instances = reader.ground_truth().instances();
+  ASSERT_TRUE(trace.has_section(Section::kGroundTruth));
+  const analysis::GroundTruth truth_back = trace.ground_truth();
+  const auto& instances = truth_back.instances();
   ASSERT_EQ(instances.size(), 2u);
   EXPECT_EQ(instances[0].object_id, 6);
   EXPECT_EQ(instances[0].stream_id, 11u);
@@ -297,8 +312,8 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
   EXPECT_TRUE(instances[1].duplicate);
   EXPECT_FALSE(instances[1].complete);
 
-  ASSERT_TRUE(reader.has_summary());
-  EXPECT_EQ(reader.summary(), summary);  // incl. bit-exact DoM via bit_cast
+  ASSERT_TRUE(trace.has_section(Section::kSummary));
+  EXPECT_EQ(trace.summary(), summary);  // incl. bit-exact DoM via bit_cast
   std::remove(path.c_str());
 }
 
@@ -330,26 +345,26 @@ class TraceCorruption : public ::testing::Test {
 };
 
 TEST_F(TraceCorruption, ValidImageParses) {
-  EXPECT_NO_THROW(TraceReader{image_});
+  EXPECT_NO_THROW(read_all(image_));
 }
 
 TEST_F(TraceCorruption, RejectsBadMagic) {
   util::Bytes bad = image_;
   bad[0] ^= 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(read_all(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsVersionMismatch) {
   util::Bytes bad = image_;
   bad[9] = capture::kFormatVersion + 1;  // version u16 lives at bytes [8,9]
   try {
-    TraceReader reader{bad};
+    read_all(bad);
     FAIL() << "future version accepted";
   } catch (const TraceError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
   bad[9] = 0;  // below kMinReadVersion
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(read_all(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsCompressedSectionsInV1Header) {
@@ -357,13 +372,13 @@ TEST_F(TraceCorruption, RejectsCompressedSectionsInV1Header) {
   // in place — a combination no writer produces and v1 readers can't decode.
   util::Bytes bad = image_;
   bad[9] = 1;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(read_all(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsBadEndMagic) {
   util::Bytes bad = image_;
   bad.back() ^= 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(read_all(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsTruncationAtEveryPrefixLength) {
@@ -371,7 +386,7 @@ TEST_F(TraceCorruption, RejectsTruncationAtEveryPrefixLength) {
   for (std::size_t len = 0; len < image_.size(); len += 7) {
     util::Bytes cut(image_.begin(),
                     image_.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(TraceReader{std::move(cut)}, TraceError) << "prefix " << len;
+    EXPECT_THROW(read_all(std::move(cut)), TraceError) << "prefix " << len;
   }
 }
 
@@ -380,7 +395,7 @@ TEST_F(TraceCorruption, RejectsTrailerOffsetOutOfRange) {
   // trailer_offset u64 sits just before the 8-byte end magic.
   const std::size_t at = bad.size() - 16;
   for (std::size_t i = 0; i < 8; ++i) bad[at + i] = 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(read_all(bad), TraceError);
 }
 
 // --- digest + pcap ----------------------------------------------------------

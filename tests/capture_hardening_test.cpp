@@ -1,10 +1,12 @@
 // Reader hardening: hostile .h2t images must raise TraceError, never UB.
 //
-// Exercises the shared validator (capture::validate_and_index) through both
-// reader paths — the eager TraceReader and the lazy mmap'd TraceFile — with
-// surgically corrupted trailers (truncated tail, overlapping sections,
-// offsets past EOF, implausible counts) plus a seeded fuzz sweep of random
-// byte flips and truncations over an otherwise-valid image.
+// Exercises the shared validator (capture::validate_and_index) at both
+// depths TraceFile offers — the skeleton check at open and the whole-file
+// check (TraceFile::check_all) — with surgically corrupted trailers
+// (truncated tail, overlapping sections, offsets past EOF, implausible
+// counts), hostile lengths that must be refused before anything is sized
+// from them, plus seeded fuzz sweeps of random byte flips and truncations
+// over an otherwise-valid image, each surviving mutant also replayed.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/sim/rng.hpp"
@@ -89,11 +91,28 @@ void put_u32be(util::Bytes& image, std::size_t at, std::uint32_t v) {
   return 0;
 }
 
-/// A hostile image must be rejected with TraceError by both reader paths;
-/// anything else (other exception types, aborts, sanitizer reports) fails.
+/// The whole-file check over an in-memory image. Throws TraceError.
+void read_all(util::Bytes image) { TraceFile(std::move(image)).check_all(); }
+
+/// A hostile image must be rejected with TraceError at open and by the
+/// whole-file check; anything else (other exception types, aborts,
+/// sanitizer reports) fails.
 void expect_rejected(const util::Bytes& image, const char* label) {
-  EXPECT_THROW(TraceReader{image}, TraceError) << label;
+  EXPECT_THROW(read_all(image), TraceError) << label;
   EXPECT_THROW(TraceFile{image}, TraceError) << label;
+}
+
+/// One fuzz mutant: if it opens, decode every section, then replay it.
+/// Throws TraceError when the whole-file check rejects the image; replay may
+/// refuse a surviving image with TraceError too. Any other exception
+/// escapes and fails the test.
+void check_and_replay(util::Bytes image) {
+  const TraceFile trace{std::move(image)};
+  trace.check_all();
+  try {
+    (void)replay(trace);
+  } catch (const TraceError&) {  // NOLINT(bugprone-empty-catch): refusal is fine
+  }
 }
 
 class TraceHardening : public ::testing::Test {
@@ -118,6 +137,7 @@ class TraceHardening : public ::testing::Test {
       p.ack = static_cast<std::uint64_t>(rng.next());
       p.payload_len = static_cast<std::size_t>(rng.uniform_int(0, 1'460));
       writer.add_packet(p);
+      packets_.push_back(p);
 
       analysis::RecordObservation r;
       r.time = util::TimePoint{t};
@@ -126,6 +146,7 @@ class TraceHardening : public ::testing::Test {
       off += r.ciphertext_len + 5;
       r.stream_offset = off;
       writer.add_record(r);
+      records_.push_back(r);
     }
     analysis::GroundTruth truth;
     const analysis::InstanceId id = truth.register_instance(3, 5, false);
@@ -133,10 +154,9 @@ class TraceHardening : public ::testing::Test {
     truth.record_headers(id, h2::WireSpan{4'000, 4'020});
     truth.mark_complete(id);
     writer.set_ground_truth(truth);
-    TraceSummary summary;
-    summary.monitor_packets = 40;
-    summary.predicted_sequence = {"party-1", "party-2"};
-    writer.set_summary(summary);
+    summary_.monitor_packets = 40;
+    summary_.predicted_sequence = {"party-1", "party-2"};
+    writer.set_summary(summary_);
     writer.finish();
     image_ = slurp(path_);
     std::remove(path_.c_str());
@@ -144,43 +164,49 @@ class TraceHardening : public ::testing::Test {
 
   std::string path_;
   util::Bytes image_;
+  std::vector<analysis::PacketObservation> packets_;  ///< as written
+  std::vector<analysis::RecordObservation> records_;  ///< as written, both dirs
+  TraceSummary summary_;
 };
 
 TEST_F(TraceHardening, ValidImageParsesThroughBothPaths) {
-  EXPECT_NO_THROW(TraceReader{image_});
+  EXPECT_NO_THROW(read_all(image_));
   const TraceFile lazy{image_};
   EXPECT_EQ(lazy.meta().seed, 77u);
   EXPECT_EQ(lazy.meta().scenario, "hardening");
 }
 
-TEST_F(TraceHardening, LazyAndEagerReadersAgree) {
-  const TraceReader eager{image_};
+TEST_F(TraceHardening, TraceFileMatchesWrittenObservations) {
   const TraceFile lazy{image_};
-  EXPECT_EQ(lazy.digest(), eager.digest());
-  EXPECT_EQ(lazy.file_size(), eager.file_size());
-  EXPECT_EQ(lazy.packet_count(), eager.packets().size());
+  EXPECT_EQ(lazy.digest(), fnv1a(util::BytesView{image_.data(), image_.size()}));
+  EXPECT_EQ(lazy.file_size(), image_.size());
+  EXPECT_EQ(lazy.packet_count(), packets_.size());
   for (const auto dir :
        {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+    std::vector<analysis::RecordObservation> written;
+    for (const analysis::RecordObservation& r : records_) {
+      if (r.dir == dir) written.push_back(r);
+    }
     const auto lazy_records = lazy.records(dir);
-    ASSERT_EQ(lazy_records.size(), eager.records(dir).size());
+    ASSERT_EQ(lazy_records.size(), written.size());
     for (std::size_t i = 0; i < lazy_records.size(); ++i) {
-      EXPECT_EQ(lazy_records[i].stream_offset, eager.records(dir)[i].stream_offset);
-      EXPECT_EQ(lazy_records[i].ciphertext_len, eager.records(dir)[i].ciphertext_len);
+      EXPECT_EQ(lazy_records[i].stream_offset, written[i].stream_offset);
+      EXPECT_EQ(lazy_records[i].ciphertext_len, written[i].ciphertext_len);
     }
   }
-  EXPECT_EQ(lazy.summary(), eager.summary());
+  EXPECT_EQ(lazy.summary(), summary_);
 
-  // The streaming cursor yields the same packets as the eager vector.
+  // The streaming cursor yields the packets in the order they were written.
   PacketCursor cursor = lazy.packets();
   analysis::PacketObservation p;
   std::size_t n = 0;
   while (cursor.next(p)) {
-    ASSERT_LT(n, eager.packets().size());
-    EXPECT_EQ(p.seq, eager.packets()[n].seq);
-    EXPECT_EQ(p.time.ns, eager.packets()[n].time.ns);
+    ASSERT_LT(n, packets_.size());
+    EXPECT_EQ(p.seq, packets_[n].seq);
+    EXPECT_EQ(p.time.ns, packets_[n].time.ns);
     ++n;
   }
-  EXPECT_EQ(n, eager.packets().size());
+  EXPECT_EQ(n, packets_.size());
   EXPECT_EQ(cursor.remaining(), 0u);
 }
 
@@ -253,7 +279,7 @@ TEST_F(TraceHardening, FuzzedImagesNeverEscapeTraceError) {
           rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()))));
     }
     try {
-      const TraceReader reader{mutated};
+      check_and_replay(mutated);
       ++parsed;  // mutation landed somewhere harmless (or was masked)
     } catch (const TraceError&) {
       ++rejected;
@@ -335,7 +361,7 @@ TEST_F(TraceHardening, FuzzedBlockIndexNeverEscapesTraceError) {
       bad[idx_off + rel] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     }
     try {
-      const TraceReader reader{bad};
+      check_and_replay(bad);
       ++parsed;
     } catch (const TraceError&) {
       ++rejected;
@@ -362,7 +388,7 @@ TEST_F(TraceHardening, CorruptedCompressedPayloadNeverEscapesTraceError) {
         rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
     bad[off + rel] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     try {
-      const TraceReader reader{bad};
+      check_and_replay(bad);
       ++parsed;
     } catch (const TraceError&) {
       ++rejected;
@@ -400,6 +426,101 @@ TEST_F(TraceHardening, TraceFileOpenMapsAndMatchesInMemoryParse) {
   EXPECT_EQ(mapped.sections().size(), in_memory.sections().size());
   EXPECT_THROW((void)TraceFile::open(temp_path("nonexistent")), TraceError);
   std::remove(path.c_str());
+}
+
+// --- hostile lengths ---------------------------------------------------------
+// Structurally valid traces whose decoded lengths or sequence numbers no
+// real capture can hold. Each must be refused with TraceError before any
+// buffer is sized from it (a 2^40 length would otherwise drive a terabyte
+// assign()).
+
+/// A one-connection trace with ground truth, so replay gets past its own
+/// preconditions and reaches the observations on trial.
+util::Bytes hostile_image(const std::string& path,
+                          const std::vector<analysis::PacketObservation>& packets,
+                          const std::vector<analysis::RecordObservation>& records) {
+  {
+    TraceWriter writer(path, TraceMeta{});
+    for (const analysis::PacketObservation& p : packets) writer.add_packet(p);
+    for (const analysis::RecordObservation& r : records) writer.add_record(r);
+    analysis::GroundTruth truth;
+    (void)truth.register_instance(3, 5, false);
+    writer.set_ground_truth(truth);
+    writer.finish();
+  }
+  util::Bytes image = slurp(path);
+  std::remove(path.c_str());
+  return image;
+}
+
+analysis::PacketObservation data_packet(std::uint64_t seq, std::size_t len) {
+  analysis::PacketObservation p;
+  p.dir = net::Direction::kServerToClient;
+  p.seq = seq;
+  p.payload_len = len;
+  p.wire_size = static_cast<std::int64_t>(len) + 40;
+  return p;
+}
+
+analysis::RecordObservation s2c_record(std::size_t ciphertext_len) {
+  analysis::RecordObservation r;
+  r.dir = net::Direction::kServerToClient;
+  r.type = tls::ContentType::kApplicationData;
+  r.ciphertext_len = ciphertext_len;
+  return r;
+}
+
+TEST(TraceHostileLengths, RecordLongerThanTlsLengthFieldIsRejected) {
+  const std::uint64_t tera = std::uint64_t{1} << 40;
+  // A 2^40-byte record covered by one packet of the same size, and the
+  // record length alone behind an ordinary packet.
+  for (const std::size_t payload :
+       {static_cast<std::size_t>(tera + 5), std::size_t{100}}) {
+    const TraceFile trace{hostile_image(temp_path("record"), {data_packet(1, payload)},
+                                        {s2c_record(static_cast<std::size_t>(tera))})};
+    EXPECT_THROW((void)trace.records(net::Direction::kServerToClient), TraceError);
+    EXPECT_THROW(trace.check_all(), TraceError);
+    EXPECT_THROW((void)replay(trace), TraceError);
+  }
+  // The 16-bit field's own maximum still decodes; one past it does not.
+  const TraceFile edge{hostile_image(temp_path("edge"), {},
+                                     {s2c_record(0xffff), s2c_record(0x10000)})};
+  EXPECT_THROW((void)edge.records(net::Direction::kServerToClient), TraceError);
+  const TraceFile max{hostile_image(temp_path("max"), {}, {s2c_record(0xffff)})};
+  EXPECT_EQ(max.records(net::Direction::kServerToClient).at(0).ciphertext_len, 0xffffu);
+}
+
+TEST(TraceHostileLengths, PayloadLongerThanAnIpv4DatagramIsRejected) {
+  for (const std::size_t payload :
+       {kMaxPayloadBytes + 1, static_cast<std::size_t>(std::uint64_t{1} << 40)}) {
+    const TraceFile trace{
+        hostile_image(temp_path("payload"), {data_packet(1, payload)}, {})};
+    PacketCursor cursor = trace.packets();
+    analysis::PacketObservation p;
+    EXPECT_THROW((void)cursor.next(p), TraceError) << payload;
+    EXPECT_THROW(trace.check_all(), TraceError) << payload;
+    EXPECT_THROW((void)replay(trace), TraceError) << payload;
+  }
+  const TraceFile max{
+      hostile_image(temp_path("max"), {data_packet(1, kMaxPayloadBytes)}, {})};
+  PacketCursor cursor = max.packets();
+  analysis::PacketObservation p;
+  ASSERT_TRUE(cursor.next(p));
+  EXPECT_EQ(p.payload_len, kMaxPayloadBytes);
+}
+
+TEST(TraceHostileLengths, WrappingSequenceRangeIsRejectedByReplay) {
+  // seq - 1 + payload_len past 2^64 would place the payload before the start
+  // of the stream. The packet itself decodes; replay must refuse it.
+  const TraceFile wrap{hostile_image(temp_path("wrap"),
+                                     {data_packet(~std::uint64_t{0} - 5, 100)}, {})};
+  EXPECT_NO_THROW(wrap.check_all());
+  EXPECT_THROW((void)replay(wrap), TraceError);
+  // A far but non-wrapping sequence number leaves an unfinishable stream,
+  // which replay also refuses rather than sizing anything from it.
+  const TraceFile far{
+      hostile_image(temp_path("far"), {data_packet(std::uint64_t{1} << 33, 100)}, {})};
+  EXPECT_THROW((void)replay(far), TraceError);
 }
 
 }  // namespace

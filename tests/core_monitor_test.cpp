@@ -133,5 +133,25 @@ TEST(TrafficMonitor, RecordsExposedPerDirection) {
   EXPECT_TRUE(f.monitor.records(net::Direction::kServerToClient).empty());
 }
 
+TEST(TrafficMonitor, RetentionOffCountsPacketsButKeepsNone) {
+  // Replay's bounded-memory mode: a standalone monitor fed through
+  // observe() with retain_packets off counts every packet and scans its
+  // records, but keeps no packet log.
+  MonitorConfig config;
+  config.retain_packets = false;
+  TrafficMonitor monitor(config);
+  tls::SealContext seal{kSecret, 0};
+  const util::Bytes rec =
+      seal.seal(tls::ContentType::kApplicationData, util::patterned_bytes(45, 1));
+  analysis::PacketObservation p;
+  p.dir = net::Direction::kClientToServer;
+  p.seq = 1;
+  p.payload_len = rec.size();
+  monitor.observe(p, util::BytesView{rec.data(), rec.size()});
+  EXPECT_EQ(monitor.packets_seen(), 1u);
+  EXPECT_TRUE(monitor.packets().empty());
+  EXPECT_EQ(monitor.records(net::Direction::kClientToServer).size(), 1u);
+}
+
 }  // namespace
 }  // namespace h2priv::core
