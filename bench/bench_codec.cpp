@@ -1,15 +1,18 @@
 // .h2t v2 block-codec throughput: the adaptive range coder (order-1 model,
-// 64 KiB blocks) measured on the real column streams of freshly captured
-// traces, plus the end-to-end v2 read path (TraceFile::open + check_all —
-// full section decode through the block cache).
+// blocks of up to 64 KiB) measured on the real column streams of freshly
+// captured traces, plus the end-to-end v2 read path (TraceFile::open +
+// check_all — full section decode through the block cache).
 //
 // Phase 1 captures a corpus. Phase 2 pulls every compressed section's raw
 // column bytes back out by decoding its blocks directly with rc_decompress —
 // the same material the writer fed the coder. Phase 3 times rc_compress over
 // those blocks, phase 4 times rc_decompress, and both hard-fail unless the
 // round trip is byte-exact and a second encode pass is byte-identical to
-// the first (codec determinism). Phase 5 times TraceFile::open + check_all
-// over the corpus — the number a cold corpus scan actually sees.
+// the first (codec determinism); phase 4 also reports the blocks of at
+// most 4 KiB raw on their own, the size of most of a corpus trace's
+// columns, where the per-block model reset is paid on few bytes. Phase 5
+// times TraceFile::open + check_all over the corpus — the number a cold
+// corpus scan actually sees.
 //
 //   $ ./bench_codec [runs] [--jobs N]
 #include <chrono>
@@ -160,9 +163,18 @@ int main(int argc, char** argv) {
   // both ways: coder-only (coded blocks / coder time) and effective (all
   // raw bytes / total time). Hard-fails unless every round trip is exact.
   const int dec_reps = 20;
+  constexpr std::size_t kSmallBlockBytes = 4096;
   bool roundtrip_ok = true;
   util::Bytes decoded;
   double rc_wall = 0;
+  double small_wall = 0;
+  std::uint64_t small_raw_bytes = 0;
+  std::size_t small_blocks = 0;
+  for (const BlockSample& s : samples) {
+    if (s.stored || s.raw.size() > kSmallBlockBytes) continue;
+    small_raw_bytes += s.raw.size();
+    ++small_blocks;
+  }
   const double d0 = now_s();
   for (int rep = 0; rep < dec_reps; ++rep) {
     for (const BlockSample& s : samples) {
@@ -174,7 +186,9 @@ int main(int argc, char** argv) {
         model.reset();
         (void)util::rc_decompress(util::BytesView{s.comp.data(), s.comp.size()},
                                   model, std::span<std::uint8_t>(decoded));
-        rc_wall += now_s() - r0;
+        const double took = now_s() - r0;
+        rc_wall += took;
+        if (s.raw.size() <= kSmallBlockBytes) small_wall += took;
       }
       if (rep == 0) roundtrip_ok &= decoded == s.raw;
     }
@@ -184,6 +198,10 @@ int main(int argc, char** argv) {
       rc_wall > 0 ? static_cast<double>(coded_raw_bytes) * dec_reps /
                         (1024.0 * 1024.0) / rc_wall
                   : 0.0;
+  const double small_mib_s =
+      small_wall > 0 ? static_cast<double>(small_raw_bytes) * dec_reps /
+                           (1024.0 * 1024.0) / small_wall
+                     : 0.0;
   const double effective_mib_s =
       dec_wall > 0 ? static_cast<double>(raw_bytes) * dec_reps /
                          (1024.0 * 1024.0) / dec_wall
@@ -216,6 +234,10 @@ int main(int argc, char** argv) {
   std::printf("decode: %.1f MiB/s coder-only, %.1f MiB/s effective "
               "(1 core, %d reps)\n",
               dec_mib_s, effective_mib_s, dec_reps);
+  std::printf("decode: %.1f MiB/s coder-only over the %zu coded blocks of "
+              "<= %zu bytes raw (%.1f KiB)\n",
+              small_mib_s, small_blocks, kSmallBlockBytes,
+              static_cast<double>(small_raw_bytes) / 1024.0);
   std::printf("open:   %.1f traces/s, %.1f MiB/s raw columns (%llu packets)\n",
               open_traces_s, open_mib_s,
               static_cast<unsigned long long>(decoded_packets));
@@ -227,6 +249,7 @@ int main(int argc, char** argv) {
       "codec",
       {{"encode_mib_s", enc_mib_s},
        {"decode_mib_s", dec_mib_s},
+       {"decode_small_mib_s", small_mib_s},
        {"decode_effective_mib_s", effective_mib_s},
        {"open_traces_per_s", open_traces_s},
        {"open_mib_s", open_mib_s},

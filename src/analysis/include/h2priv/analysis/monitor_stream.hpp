@@ -4,15 +4,20 @@
 // The monitor reads cleartext TCP headers off transiting packets, reassembles
 // the byte stream (absorbing retransmissions exactly as tshark's TCP
 // dissector does), and scans the 5-byte TLS record headers to produce
-// RecordObservations. Payload bytes stay opaque — they are carried only far
-// enough to locate the next header.
+// RecordObservations. Payload bytes stay opaque and body bytes are never
+// copied: in-order segments are scanned in place (Reassembly's zero-copy
+// fast path), and the scanner keeps only a 5-byte header accumulator, the
+// body bytes still to skip and the running stream offset. A record is
+// emitted at the packet that delivers its last body byte.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
 #include "h2priv/analysis/observation.hpp"
 #include "h2priv/tcp/reassembly.hpp"
+#include "h2priv/tls/record.hpp"
 #include "h2priv/util/bytes.hpp"
 
 namespace h2priv::analysis {
@@ -32,16 +37,22 @@ class MonitorStream {
   [[nodiscard]] const std::vector<RecordObservation>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] std::uint64_t stream_bytes() const noexcept { return scan_offset_ +
-                                           pending_.size(); }
+  /// In-order stream bytes delivered so far.
+  [[nodiscard]] std::uint64_t stream_bytes() const noexcept { return delivered_; }
 
  private:
-  void scan(util::TimePoint now);
+  /// Advances the header scanner over freshly delivered in-order bytes.
+  /// Throws tls::TlsError from the call that completes a malformed header.
+  void scan(util::BytesView bytes, util::TimePoint now);
 
   net::Direction dir_;
   tcp::Reassembly reassembly_{1};  // data starts at seq 1 (SYN occupies 0)
-  util::Bytes pending_;            // in-order bytes not yet consumed by the scanner
-  std::uint64_t scan_offset_ = 0;  // stream offset of pending_[0]
+  std::uint64_t delivered_ = 0;    // in-order bytes handed to the scanner
+  std::array<std::uint8_t, tls::kHeaderBytes> header_{};  // current header
+  std::size_t header_have_ = 0;    // bytes of header_ received
+  tls::RecordHeader current_{};    // parsed once header_have_ reaches 5
+  std::size_t body_left_ = 0;      // body bytes of current_ still to come
+  std::uint64_t record_offset_ = 0;  // stream offset of the current header
   std::vector<RecordObservation> records_;
 };
 

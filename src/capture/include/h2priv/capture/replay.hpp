@@ -13,13 +13,18 @@
 // states as the live run — retransmissions, reordering and all — so the
 // recomputed records, GET count, verdicts and DoM values are bit-identical.
 //
-// One engine does the feeding: packets stream off the mmap'd image through a
-// PacketCursor (or off a demuxed fleet connection), and each packet's payload
-// is synthesized into a reusable scratch buffer, so peak memory is
-// O(records + one packet), never O(stream bytes). Hostile lengths are
-// refused with TraceError before anything is sized from them: record
-// lengths are 16-bit, packet payloads fit an IPv4 datagram, and a packet's
-// sequence range may not wrap.
+// One engine does the feeding, in a single walk over the packets: they
+// stream off the mmap'd image through a PacketCursor (or off a demuxed fleet
+// connection), and each packet's payload is synthesized into a reusable
+// scratch buffer, so peak memory is O(records + one packet), never
+// O(stream bytes). Each direction's stream extent is tracked during the
+// walk; a packet that would complete the phantom's body is refused before
+// it is fed, and the stored records are checked against the extents once
+// the walk ends. Hostile lengths are refused with TraceError before
+// anything is sized from them: record lengths are 16-bit, packet payloads
+// fit an IPv4 datagram, and a packet's sequence range may not wrap. Only
+// TraceError escapes: stored records that leave a gap in the stream (where
+// the scanner would read zeros as a header) are refused with it too.
 //
 // The scoring half (score_with_predictor / count_gets) is split out so the
 // corpus pipeline can score straight off stored record sections without any

@@ -105,10 +105,18 @@ struct SectionInfo;  // trace_view.hpp
 void encode_block_index(util::ByteWriter& out,
                         const std::vector<SectionBlocks>& sections);
 
-/// Decompresses one whole section into `out` (ground truth / summary — the
-/// single-shot sections where random access buys nothing). Throws TraceError.
-void decompress_section(util::BytesView section_payload, const SectionBlocks& blocks,
-                        util::RcModel& model, util::Bytes& out);
+/// Raw bytes of one whole single-stream section (ground truth, summary,
+/// fleet — the single-shot sections where random access buys nothing). Coded
+/// blocks come through the directory's BlockCache, exactly as StreamReader
+/// pulls them, so a section read twice from one open file is decoded once.
+/// A one-block section is returned as a view of its cache slot (or of the
+/// image, when stored), otherwise the blocks are joined into `scratch`. The
+/// view is valid until the next cache lookup or change to `scratch`. Throws
+/// TraceError.
+[[nodiscard]] util::BytesView decompress_section(util::BytesView section_payload,
+                                                 const SectionBlocks& blocks,
+                                                 BlockDirectory& dir,
+                                                 util::Bytes& scratch);
 
 /// Sequential cursor over one stream of a compressed section. Pulls decoded
 /// blocks through the TraceFile's BlockCache on demand — a reader that stops

@@ -182,6 +182,10 @@ class TraceFile {
  private:
   TraceFile() = default;
   void index();
+  /// Raw payload of a single-stream section: the image itself when stored
+  /// uncompressed, else decompress_section through the block cache.
+  [[nodiscard]] util::BytesView raw_section(const SectionInfo& s,
+                                            util::Bytes& scratch) const;
 
   util::MappedFile mapped_;
   util::Bytes owned_;

@@ -12,22 +12,29 @@ namespace h2priv::capture {
 namespace {
 
 /// The synthetic byte stream one direction carried, produced a packet at a
-/// time: zeros, with a real TLS header at every recorded record offset and
-/// (when the stream ends mid-record) a phantom header whose declared body
-/// can never complete within the remaining bytes. Given a [start, start+len)
+/// time: zeros, with a real TLS header at every recorded record offset and,
+/// past the last recorded record, a phantom application-data header
+/// declaring the maximum body, which keeps the scanner waiting exactly like
+/// the live run's unfinished trailing record. Given a [start, start+len)
 /// range of stream offsets, materialize() writes the bytes that range holds,
-/// with O(1) memory beyond the record vector the caller already owns.
+/// with O(1) memory beyond the record vector the caller already owns, and
+/// tracks the stream's extent as the packets go by; finish() then checks the
+/// records against that extent.
+///
+/// The phantom is planted in every packet that reaches it, before the
+/// stream's extent is known. When the stored records tile the stream, as
+/// every captured trace's do, the scanner meets the phantom at its first
+/// byte; if the stream ends before its fifth, the scanner never completes
+/// it, so planting it changes no record. When a packet would complete its
+/// 0xffff body, the trailing record is too large for the phantom to stand
+/// in for.
 class ChunkSynthesizer {
  public:
-  ChunkSynthesizer(const std::vector<analysis::RecordObservation>& records,
-                   std::uint64_t total)
-      : records_(records), total_(total) {
+  explicit ChunkSynthesizer(const std::vector<analysis::RecordObservation>& records)
+      : records_(records) {
     std::uint64_t prev = 0;
     for (const analysis::RecordObservation& rec : records_) {
       const std::uint64_t off = rec.stream_offset;
-      if (off + tls::kHeaderBytes > total_) {
-        throw TraceError("record header extends past the synthesized stream");
-      }
       if (off < prev) {
         // The per-packet binary search needs offset order; TraceWriter
         // always emits it (records surface in stream order).
@@ -36,27 +43,19 @@ class ChunkSynthesizer {
       prev = off;
       last_end_ = std::max(last_end_, off + tls::kHeaderBytes + rec.ciphertext_len);
     }
-    // Trailing bytes belong to a record the live run never saw complete.
-    // Fewer than 5 of them can't even form a header (the scanner just
-    // waits); for 5+ plant a phantom application-data header declaring the
-    // maximum body — the scanner parses it and waits forever, exactly like
-    // the live partial record, as long as the remainder can't satisfy the
-    // declared length.
-    const std::uint64_t trailing = total_ - last_end_;
-    if (trailing >= tls::kHeaderBytes) {
-      if (trailing - tls::kHeaderBytes >= 0xffff) {
-        throw TraceError("unfinished trailing record too large to synthesize");
-      }
-      has_phantom_ = true;
-    }
   }
 
   /// Writes stream bytes [start, start+len) into `scratch` and returns a
-  /// view of them. The view is valid until the next call.
+  /// view of them. The view is valid until the next call. Throws TraceError
+  /// if the range reaches the end of the phantom's body.
   [[nodiscard]] util::BytesView materialize(std::uint64_t start, std::size_t len,
-                                            util::Bytes& scratch) const {
-    scratch.assign(len, 0);
+                                            util::Bytes& scratch) {
     const std::uint64_t end = start + len;
+    if (end > last_end_ && end - last_end_ >= tls::kHeaderBytes + 0xffff) {
+      throw TraceError("unfinished trailing record too large to synthesize");
+    }
+    total_ = std::max(total_, end);
+    scratch.assign(len, 0);
     // First record whose 5-byte header could reach into [start, end).
     auto it = std::lower_bound(
         records_.begin(), records_.end(), start,
@@ -68,13 +67,26 @@ class ChunkSynthesizer {
                    static_cast<std::uint8_t>(it->type),
                    static_cast<std::uint16_t>(it->ciphertext_len));
     }
-    if (has_phantom_ && last_end_ < end &&
-        last_end_ + tls::kHeaderBytes > start) {
+    if (last_end_ < end && last_end_ + tls::kHeaderBytes > start) {
       plant_header(scratch, start, end, last_end_,
                    static_cast<std::uint8_t>(tls::ContentType::kApplicationData),
                    0xffff);
     }
     return {scratch.data(), scratch.size()};
+  }
+
+  /// The extent checks, once every packet has been seen: each recorded
+  /// record must lie within the stream the packets carried.
+  void finish() const {
+    for (const analysis::RecordObservation& rec : records_) {
+      if (rec.stream_offset + tls::kHeaderBytes > total_) {
+        throw TraceError("record header extends past the synthesized stream");
+      }
+    }
+    if (last_end_ > total_) {
+      // A record body the stream never carried in full.
+      throw TraceError("unfinished trailing record too large to synthesize");
+    }
   }
 
  private:
@@ -98,9 +110,8 @@ class ChunkSynthesizer {
   }
 
   const std::vector<analysis::RecordObservation>& records_;
-  std::uint64_t total_ = 0;
-  std::uint64_t last_end_ = 0;
-  bool has_phantom_ = false;
+  std::uint64_t last_end_ = 0;  ///< end of the furthest-reaching record
+  std::uint64_t total_ = 0;     ///< stream extent of the packets seen so far
 };
 
 [[nodiscard]] bool same_records(const std::vector<analysis::RecordObservation>& a,
@@ -141,42 +152,42 @@ class ChunkSynthesizer {
 }
 
 /// The replay engine: feeds every packet `walk` yields through a fresh
-/// monitor, payloads synthesized per packet into one reusable scratch
-/// buffer, then checks the recomputed records against the stored ones and
-/// scores the result. `walk(fn)` calls fn once per packet in capture order
-/// and must be repeatable: pass 1 measures each direction's stream extent,
-/// pass 2 drives the monitor.
+/// monitor, in one pass, payloads synthesized per packet into one reusable
+/// scratch buffer, then checks the recomputed records against the stored
+/// ones and scores the result. `walk(fn)` calls fn once per packet in
+/// capture order.
 template <typename Walk>
 [[nodiscard]] ReplayResult run_replay(
     const TraceMeta& meta, const analysis::GroundTruth& truth,
     const std::vector<analysis::RecordObservation>& c2s,
     const std::vector<analysis::RecordObservation>& s2c,
     const std::optional<TraceSummary>& stored_summary, const Walk& walk) {
-  // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies seq 0).
-  std::array<std::uint64_t, 2> total{};
-  walk([&](const analysis::PacketObservation& p) {
-    if (p.payload_len == 0) return;
-    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
-    const std::uint64_t end = p.seq - 1 + p.payload_len;
-    if (end < p.seq - 1) throw TraceError("data packet's sequence range wraps");
-    std::uint64_t& t = total[static_cast<std::size_t>(p.dir)];
-    t = std::max(t, end);
-  });
-  const std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(c2s, total[0]),
-                                                 ChunkSynthesizer(s2c, total[1])};
-
+  std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(c2s), ChunkSynthesizer(s2c)};
   core::MonitorConfig config;
   config.retain_packets = false;  // O(1) packet memory
   core::TrafficMonitor monitor(config);
   util::Bytes scratch;
-  walk([&](const analysis::PacketObservation& p) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      payload = synth[static_cast<std::size_t>(p.dir)].materialize(
-          p.seq - 1, p.payload_len, scratch);
-    }
-    monitor.observe(p, payload);
-  });
+  try {
+    walk([&](const analysis::PacketObservation& p) {
+      util::BytesView payload;
+      if (p.payload_len > 0) {
+        // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies
+        // seq 0).
+        if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
+        if (p.seq - 1 + p.payload_len < p.seq - 1) {
+          throw TraceError("data packet's sequence range wraps");
+        }
+        payload = synth[static_cast<std::size_t>(p.dir)].materialize(
+            p.seq - 1, p.payload_len, scratch);
+      }
+      monitor.observe(p, payload);
+    });
+  } catch (const tls::TlsError& e) {
+    // Stored record offsets that leave a gap put zero bytes where the
+    // scanner expects a header.
+    throw TraceError(std::string("stored records do not tile the stream: ") + e.what());
+  }
+  for (const ChunkSynthesizer& s : synth) s.finish();
 
   ReplayResult result;
   result.records_match =

@@ -1,7 +1,5 @@
 #include "h2priv/capture/trace_codec.hpp"
 
-#include <cstring>
-
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/obs/metrics.hpp"
@@ -186,27 +184,49 @@ void decode_block(util::BytesView comp, util::RcModel& model,
                          static_cast<std::size_t>(b.comp_length));
 }
 
+/// One block's raw bytes: a zero-copy view of the image when the block is
+/// stored, else the decoded block from the directory's cache (decoded into
+/// it on a miss). `slot` is the cache slot backing the view, -1 for a
+/// stored block. The view is valid until the slot is evicted.
+struct LoadedBlock {
+  util::BytesView view;
+  std::int32_t slot = -1;
+};
+
+[[nodiscard]] LoadedBlock load_block(util::BytesView payload, const SectionBlocks& blocks,
+                                     std::uint32_t stream, const BlockInfo& b,
+                                     BlockDirectory& dir) {
+  const util::BytesView disk = block_disk_bytes(payload, b);
+  if (b.stored) return {disk, -1};
+  const util::BlockKey key{(static_cast<std::uint32_t>(blocks.id) << 8) | stream,
+                           b.raw_offset};
+  const util::BlockCache::Ref ref = dir.cache.get(key, [&](util::Bytes& buf) {
+    buf.resize(static_cast<std::size_t>(b.raw_length));
+    decode_block(disk, dir.model, std::span<std::uint8_t>(buf));
+  });
+  return {ref.view, static_cast<std::int32_t>(ref.slot)};
+}
+
 }  // namespace
 
-void decompress_section(util::BytesView section_payload, const SectionBlocks& blocks,
-                        util::RcModel& model, util::Bytes& out) {
-  out.clear();
+util::BytesView decompress_section(util::BytesView section_payload,
+                                   const SectionBlocks& blocks, BlockDirectory& dir,
+                                   util::Bytes& scratch) {
   if (blocks.n_streams != 1) {
     throw TraceError("whole-section decompress expects a single stream");
   }
-  out.reserve(static_cast<std::size_t>(blocks.stream_raw_len[0]));
-  for (const BlockInfo& b : blocks.blocks) {
-    const util::BytesView disk = block_disk_bytes(section_payload, b);
-    const std::size_t at = out.size();
-    out.resize(at + static_cast<std::size_t>(b.raw_length));
-    if (b.stored) {
-      std::memcpy(out.data() + at, disk.data(), disk.size());
-    } else {
-      decode_block(disk, model,
-                   std::span<std::uint8_t>(out.data() + at,
-                                           static_cast<std::size_t>(b.raw_length)));
-    }
+  const std::vector<std::uint32_t>& order = blocks.by_stream[0];
+  if (order.size() == 1) {
+    return load_block(section_payload, blocks, 0, blocks.blocks[order[0]], dir).view;
   }
+  scratch.clear();
+  scratch.reserve(static_cast<std::size_t>(blocks.stream_raw_len[0]));
+  for (const std::uint32_t idx : order) {
+    const util::BytesView raw =
+        load_block(section_payload, blocks, 0, blocks.blocks[idx], dir).view;
+    scratch.insert(scratch.end(), raw.begin(), raw.end());
+  }
+  return {scratch.data(), scratch.size()};
 }
 
 StreamReader::StreamReader(util::BytesView section_payload,
@@ -224,20 +244,12 @@ void StreamReader::refill() {
   }
   const std::uint32_t block_idx = blocks_->by_stream[stream_][next_block_++];
   const BlockInfo& b = blocks_->blocks[block_idx];
-  const util::BytesView disk = block_disk_bytes(payload_, b);
   release_pin();
-  if (b.stored) {
-    cur_ = disk;  // zero-copy straight from the mapped image
-  } else {
-    const util::BlockKey key{
-        (static_cast<std::uint32_t>(blocks_->id) << 8) | stream_, b.raw_offset};
-    const util::BlockCache::Ref ref = dir_->cache.get(key, [&](util::Bytes& buf) {
-      buf.resize(static_cast<std::size_t>(b.raw_length));
-      decode_block(disk, dir_->model, std::span<std::uint8_t>(buf));
-    });
-    cur_ = ref.view;
-    dir_->cache.pin(ref.slot);
-    pinned_ = static_cast<std::int32_t>(ref.slot);
+  const LoadedBlock loaded = load_block(payload_, *blocks_, stream_, b, *dir_);
+  cur_ = loaded.view;
+  if (loaded.slot >= 0) {
+    dir_->cache.pin(static_cast<std::uint32_t>(loaded.slot));
+    pinned_ = loaded.slot;
   }
   left_ -= b.raw_length;
   pos_ = 0;

@@ -85,6 +85,17 @@ template <typename Fn>
   return static_cast<std::size_t>(len);
 }
 
+/// A stored record type must be a TLS content type: replay plants it in a
+/// synthesized header, where any other byte fails the monitor's parse.
+[[nodiscard]] tls::ContentType record_type(std::uint8_t type) {
+  if (type < static_cast<std::uint8_t>(tls::ContentType::kChangeCipherSpec) ||
+      type > static_cast<std::uint8_t>(tls::ContentType::kApplicationData)) {
+    throw TraceError("record type " + std::to_string(type) +
+                     " is not a TLS content type");
+  }
+  return static_cast<tls::ContentType>(type);
+}
+
 /// Minimum encoded footprint of one entry, used to reject section counts the
 /// byte length cannot possibly hold (a fuzzed count would otherwise drive a
 /// multi-gigabyte reserve()).
@@ -280,7 +291,7 @@ std::vector<analysis::RecordObservation> decode_records(util::BytesView payload,
     for (std::uint64_t i = 0; i < count; ++i) {
       analysis::RecordObservation rec;
       rec.dir = dir;
-      rec.type = static_cast<tls::ContentType>(r.u8());
+      rec.type = record_type(r.u8());
       rec.time.ns = wrapping_add(prev_time_ns, get_svarint(r));
       rec.ciphertext_len =
           record_len(prev_len + static_cast<std::uint64_t>(get_svarint(r)));
@@ -528,7 +539,7 @@ std::vector<analysis::RecordObservation> TraceFile::records(
     for (std::uint64_t i = 0; i < s->count; ++i) {
       analysis::RecordObservation rec;
       rec.dir = dir;
-      rec.type = static_cast<tls::ContentType>(type.u8());
+      rec.type = record_type(type.u8());
       rec.time.ns = wrapping_add(prev_time_ns, dtime.svarint());
       rec.ciphertext_len =
           record_len(prev_len + static_cast<std::uint64_t>(dlen.svarint()));
@@ -548,31 +559,28 @@ std::vector<analysis::RecordObservation> TraceFile::records(
 analysis::GroundTruth TraceFile::ground_truth() const {
   const SectionInfo* s = section(Section::kGroundTruth);
   if (s == nullptr) throw TraceError("trace has no ground-truth section");
-  if (!s->compressed) return decode_ground_truth(section_view(image_, *s));
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_ground_truth(util::BytesView{raw.data(), raw.size()});
+  util::Bytes scratch;
+  return decode_ground_truth(raw_section(*s, scratch));
 }
 
 TraceSummary TraceFile::summary() const {
   const SectionInfo* s = section(Section::kSummary);
   if (s == nullptr) throw TraceError("trace has no summary section");
-  if (!s->compressed) return decode_summary(section_view(image_, *s));
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_summary(util::BytesView{raw.data(), raw.size()});
+  util::Bytes scratch;
+  return decode_summary(raw_section(*s, scratch));
 }
 
 std::vector<FleetConn> TraceFile::fleet() const {
   const SectionInfo* s = section(Section::kFleet);
   if (s == nullptr) throw TraceError("trace has no fleet section");
-  if (!s->compressed) return decode_fleet(section_view(image_, *s), s->count);
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_fleet(util::BytesView{raw.data(), raw.size()}, s->count);
+  util::Bytes scratch;
+  return decode_fleet(raw_section(*s, scratch), s->count);
+}
+
+util::BytesView TraceFile::raw_section(const SectionInfo& s, util::Bytes& scratch) const {
+  const util::BytesView payload = section_view(image_, s);
+  if (!s.compressed) return payload;
+  return decompress_section(payload, *blocks_->find(s.id), *blocks_, scratch);
 }
 
 ConnIdColumns TraceFile::conn_ids() const {

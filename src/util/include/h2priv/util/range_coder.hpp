@@ -16,6 +16,7 @@
 // byte-identically on every platform and at any --jobs count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,20 +40,36 @@ inline constexpr std::uint32_t kRcTopValue = 1u << 24;
 /// are the tree nodes), selected by the previous byte. ~128 KiB; reset()
 /// restores the uniform prior, which callers do at every block boundary so
 /// blocks stay independently decodable.
+///
+/// The reset is lazy: it only advances an epoch counter, and tree() refills
+/// a context's probabilities to kRcProbInit the first time it selects that
+/// context in the new epoch. A block touches only the contexts its bytes
+/// select (a few dozen on a corpus column block), so a reset costs O(1)
+/// instead of a 128 KiB fill, and the coder sees exactly the probabilities
+/// an eager fill would have given it.
 class RcModel {
  public:
-  RcModel() : probs_(kContexts * kTreeSize, kRcProbInit) {}
+  RcModel() : probs_(kContexts * kTreeSize), epochs_(kContexts, 0) {}
 
-  void reset() { std::fill(probs_.begin(), probs_.end(), kRcProbInit); }
+  void reset() noexcept { ++epoch_; }
 
   [[nodiscard]] RcProb* tree(unsigned context) noexcept {
-    return probs_.data() + static_cast<std::size_t>(context) * kTreeSize;
+    RcProb* t = probs_.data() + static_cast<std::size_t>(context) * kTreeSize;
+    if (epochs_[context] != epoch_) {
+      epochs_[context] = epoch_;
+      std::fill(t, t + kTreeSize, kRcProbInit);
+    }
+    return t;
   }
 
  private:
   static constexpr std::size_t kContexts = 256;
   static constexpr std::size_t kTreeSize = 256;
   std::vector<RcProb> probs_;
+  /// Epoch each context's tree was last filled in; a 64-bit count of
+  /// resets never wraps.
+  std::vector<std::uint64_t> epochs_;
+  std::uint64_t epoch_ = 1;  ///< > every initial stamp: each tree starts stale
 };
 
 /// Encodes `raw` with `model` (caller resets the model per block) and

@@ -523,5 +523,119 @@ TEST(TraceHostileLengths, WrappingSequenceRangeIsRejectedByReplay) {
   EXPECT_THROW((void)replay(far), TraceError);
 }
 
+
+TEST(TraceHostileLengths, RecordTypeOutsideTlsContentTypesIsRejected) {
+  // Replay plants the stored type byte in a synthesized TLS header; a byte
+  // outside 20-23 used to pass check_all and then escape replay as the
+  // monitor's tls::TlsError.
+  for (const int type : {0, 19, 24, 255}) {
+    analysis::RecordObservation r = s2c_record(20);
+    r.type = static_cast<tls::ContentType>(type);
+    const TraceFile trace{
+        hostile_image(temp_path("type"), {data_packet(1, 100)}, {r})};
+    EXPECT_THROW((void)trace.records(net::Direction::kServerToClient), TraceError)
+        << type;
+    EXPECT_THROW(trace.check_all(), TraceError) << type;
+    EXPECT_THROW((void)replay(trace), TraceError) << type;
+  }
+  // The v1 row decoder applies the same rule: type, dtime, dlen, doff.
+  const util::Bytes bad_row = {0, 0, 0, 0};
+  EXPECT_THROW((void)decode_records(bad_row, 1, net::Direction::kServerToClient),
+               TraceError);
+  const util::Bytes good_row = {23, 0, 0, 0};
+  EXPECT_EQ(decode_records(good_row, 1, net::Direction::kServerToClient).at(0).type,
+            tls::ContentType::kApplicationData);
+}
+
+// --- replay's extent checks --------------------------------------------------
+// Replay walks the packets once and checks the stored records against the
+// stream extent the walk measured. Each refusal keeps its message.
+
+/// The TraceError message replay raises for `trace`, or "" if none.
+std::string replay_refusal(const TraceFile& trace) {
+  try {
+    (void)replay(trace);
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+analysis::RecordObservation s2c_record_at(std::uint64_t offset, std::size_t len) {
+  analysis::RecordObservation r = s2c_record(len);
+  r.stream_offset = offset;
+  return r;
+}
+
+TEST(ReplayExtentChecks, EachRefusalKeepsItsMessage) {
+  const auto refusal = [](const char* name,
+                          const std::vector<analysis::PacketObservation>& packets,
+                          const std::vector<analysis::RecordObservation>& records) {
+    return replay_refusal(TraceFile{hostile_image(temp_path(name), packets, records)});
+  };
+  EXPECT_EQ(refusal("unsorted", {data_packet(1, 200)},
+                    {s2c_record_at(100, 10), s2c_record_at(0, 95)}),
+            "records not sorted by stream offset");
+  EXPECT_EQ(refusal("header", {data_packet(1, 100)},
+                    {s2c_record_at(0, 93), s2c_record_at(98, 0)}),
+            "record header extends past the synthesized stream");
+  EXPECT_EQ(refusal("body", {data_packet(1, 100)}, {s2c_record_at(0, 200)}),
+            "unfinished trailing record too large to synthesize");
+  // 65,535 body bytes past the phantom header at offset 15 complete it.
+  EXPECT_EQ(refusal("trailing", {data_packet(1, 60'000), data_packet(60'001, 5'555)},
+                    {s2c_record_at(0, 10)}),
+            "unfinished trailing record too large to synthesize");
+  // One byte short of that leaves the phantom waiting: replay completes.
+  EXPECT_EQ(refusal("waiting", {data_packet(1, 60'000), data_packet(60'001, 5'554)},
+                    {s2c_record_at(0, 10)}),
+            "");
+  // A gap between stored records puts zeros where the scanner reads the
+  // next header; that used to escape replay as tls::TlsError.
+  EXPECT_EQ(refusal("gap", {data_packet(1, 100)},
+                    {s2c_record_at(0, 10), s2c_record_at(20, 10)})
+                .rfind("stored records do not tile the stream", 0),
+            0u);
+}
+
+// --- fuzzing from a replayable seed ------------------------------------------
+// The fixture's random sequence numbers make every mutant unreplayable, so
+// its loops stop before the monitor. Mutants of a golden trace keep a real
+// TCP/TLS structure, and a flip that survives decoding (a stored time
+// column, say) replays all the way through the monitor.
+
+TEST(GoldenTraceFuzz, MutantsReplayThroughTheMonitor) {
+  const util::Bytes golden =
+      slurp(std::string(H2PRIV_TEST_DATA_DIR) + "/corpus/run_1000.h2t");
+  ASSERT_FALSE(golden.empty());
+  {
+    const ReplayResult clean = replay(TraceFile{golden});
+    ASSERT_TRUE(clean.records_match);
+    ASSERT_TRUE(clean.summary_matches);
+  }
+  sim::Rng rng(515151);
+  int replayed = 0, rejected = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    util::Bytes mutated = golden;
+    const int flips = static_cast<int>(rng.uniform_int(1, 2));
+    for (int i = 0; i < flips; ++i) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
+      mutated[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    }
+    try {
+      const TraceFile trace{std::move(mutated)};
+      trace.check_all();
+      (void)replay(trace);
+      ++replayed;
+    } catch (const TraceError&) {
+      ++rejected;
+    }
+    // Any other exception type propagates and fails the test.
+  }
+  EXPECT_GT(replayed, 0);
+  EXPECT_GT(rejected, 0);
+  SUCCEED() << replayed << " replayed, " << rejected << " rejected";
+}
+
 }  // namespace
 }  // namespace h2priv::capture

@@ -160,3 +160,44 @@ TEST(RangeCoder, DecodeWithWrongDeclaredSizeStaysBounded) {
   EXPECT_LE(consumed, coded.size());
   EXPECT_TRUE(std::equal(small.begin(), small.end(), raw.begin()));
 }
+
+TEST(RangeCoder, ReusedModelCodesEachBlockLikeAFreshModel) {
+  // reset() is lazy: a context's tree is refilled the first time a block
+  // selects it. One model reused across blocks whose byte (and so context)
+  // sets are disjoint, overlapping and repeated must code and decode every
+  // block exactly as a freshly constructed model does, also after a decode
+  // that failed partway through a block.
+  sim::Rng rng(2718);
+  const auto block = [&](std::uint8_t lo, std::uint8_t hi, std::size_t n) {
+    Bytes raw(n);
+    for (auto& b : raw) {
+      b = static_cast<std::uint8_t>(rng.uniform_int(lo, hi));
+    }
+    return raw;
+  };
+  const std::vector<Bytes> blocks = {
+      block(0, 63, 3000),    block(128, 191, 1500),  // disjoint contexts
+      block(32, 160, 4000),  block(0, 0, 800),       // overlapping, then one
+      block(0, 255, 2500),   block(0, 63, 3000)};    // all, then a repeat
+  std::vector<Bytes> fresh_coded;
+  for (const Bytes& raw : blocks) {
+    RcModel fresh;
+    fresh_coded.push_back(compress(raw, fresh));
+  }
+
+  RcModel reused;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(compress(blocks[i], reused), fresh_coded[i]) << "block " << i;
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    // Abandon a decode halfway, leaving half-adapted trees behind.
+    reused.reset();
+    Bytes scratch(blocks[i].size());
+    const Bytes cut(fresh_coded[i].begin(),
+                    fresh_coded[i].begin() +
+                        static_cast<std::ptrdiff_t>(fresh_coded[i].size() / 2));
+    EXPECT_THROW((void)util::rc_decompress(cut, reused, scratch), util::OutOfBounds);
+    EXPECT_EQ(decompress(fresh_coded[i], blocks[i].size(), reused), blocks[i])
+        << "block " << i;
+  }
+}
