@@ -174,8 +174,7 @@ void BM_H2FrameDecode(benchmark::State& state) {
   const util::Bytes wire = h2::encode_frame(f);
   for (auto _ : state) {
     h2::FrameDecoder dec;
-    dec.feed(wire);
-    benchmark::DoNotOptimize(dec.next());
+    dec.decode(wire, [](h2::Frame&& frame) { benchmark::DoNotOptimize(frame); });
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(wire.size()));
 }

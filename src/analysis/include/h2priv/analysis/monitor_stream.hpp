@@ -4,11 +4,12 @@
 // The monitor reads cleartext TCP headers off transiting packets, reassembles
 // the byte stream (absorbing retransmissions exactly as tshark's TCP
 // dissector does), and scans the 5-byte TLS record headers to produce
-// RecordObservations. Payload bytes stay opaque and body bytes are never
-// copied: in-order segments are scanned in place (Reassembly's zero-copy
-// fast path), and the scanner keeps only a 5-byte header accumulator, the
-// body bytes still to skip and the running stream offset. A record is
-// emitted at the packet that delivers its last body byte.
+// RecordObservations. Payload bytes stay opaque and the scanner copies no
+// body byte: Reassembly hands the stream up as views (in-order segments in
+// place, out-of-order ones from its pages), and the scanner keeps only a
+// 5-byte header accumulator, the body bytes still to skip and the running
+// stream offset. A record is emitted at the packet that delivers its last
+// body byte.
 #pragma once
 
 #include <array>
@@ -38,7 +39,9 @@ class MonitorStream {
     return records_;
   }
   /// In-order stream bytes delivered so far.
-  [[nodiscard]] std::uint64_t stream_bytes() const noexcept { return delivered_; }
+  [[nodiscard]] std::uint64_t stream_bytes() const noexcept {
+    return reassembly_.rcv_nxt() - 1;
+  }
 
  private:
   /// Advances the header scanner over freshly delivered in-order bytes.
@@ -47,7 +50,6 @@ class MonitorStream {
 
   net::Direction dir_;
   tcp::Reassembly reassembly_{1};  // data starts at seq 1 (SYN occupies 0)
-  std::uint64_t delivered_ = 0;    // in-order bytes handed to the scanner
   std::array<std::uint8_t, tls::kHeaderBytes> header_{};  // current header
   std::size_t header_have_ = 0;    // bytes of header_ received
   tls::RecordHeader current_{};    // parsed once header_have_ reaches 5

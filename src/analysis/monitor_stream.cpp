@@ -7,17 +7,10 @@ namespace h2priv::analysis {
 void MonitorStream::on_packet(const PacketObservation& pkt, util::BytesView payload,
                               util::TimePoint now) {
   if (payload.empty()) return;
-  if (const std::optional<util::BytesView> in_order =
-          reassembly_.offer_in_order(pkt.seq, payload)) {
-    scan(*in_order, now);
-    return;
-  }
-  const util::Bytes delivered = reassembly_.offer(pkt.seq, payload);
-  scan({delivered.data(), delivered.size()}, now);
+  reassembly_.offer(pkt.seq, payload, [&](util::BytesView bytes) { scan(bytes, now); });
 }
 
 void MonitorStream::scan(util::BytesView bytes, util::TimePoint now) {
-  delivered_ += bytes.size();
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     if (header_have_ < tls::kHeaderBytes) {

@@ -357,12 +357,11 @@ void Connection::on_bytes(util::BytesView bytes) {
     bytes = bytes.subspan(n);
     if (bytes.empty()) return;
   }
-  decoder_.feed(bytes);
-  while (auto frame = decoder_.next()) {
+  decoder_.decode(bytes, [this](Frame&& frame) {
     ++stats_.frames_received;
     obs::count(obs::Counter::kH2FramesReceived);
-    handle_frame(std::move(*frame));
-  }
+    handle_frame(std::move(frame));
+  });
 }
 
 Stream& Connection::ensure_remote_stream(std::uint32_t id) {

@@ -525,19 +525,11 @@ void Connection::handle_data(const SegmentView& s) {
     out_of_order = s.seq > reassembly_.rcv_nxt();
     consumed_something = true;
     // In-order segments (the steady state) are delivered as a view into the
-    // packet's pooled buffer — no copy, no reassembly-map churn.
-    if (const auto fast = reassembly_.offer_in_order(s.seq, s.payload)) {
-      if (!fast->empty()) {
-        delivered_ += fast->size();
-        if (on_data) on_data(*fast);
-      }
-    } else {
-      const util::Bytes delivered = reassembly_.offer(s.seq, s.payload);
-      if (!delivered.empty()) {
-        delivered_ += delivered.size();
-        if (on_data) on_data(delivered);
-      }
-    }
+    // packet's pooled buffer; only out-of-order bytes are copied, once, and
+    // go up as views into the reassembly pages.
+    reassembly_.offer(s.seq, s.payload, [this](util::BytesView delivered) {
+      if (on_data) on_data(delivered);
+    });
   }
 
   if (s.fin()) {

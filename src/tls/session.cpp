@@ -43,29 +43,19 @@ void Session::send_handshake_flight(std::size_t len) {
 }
 
 void Session::on_transport_data(util::BytesView bytes) {
-  rx_buf_.insert(rx_buf_.end(), bytes.begin(), bytes.end());
-  std::size_t pos = 0;
-  for (;;) {
-    RecordHeader hdr{};
-    const util::BytesView window(rx_buf_.data() + pos, rx_buf_.size() - pos);
-    if (!parse_header(window, hdr)) break;
-    if (window.size() < kHeaderBytes + hdr.ciphertext_len) break;
-    std::size_t consumed = 0;
-    OpenContext::Record rec = open_.open_one(window, consumed);
-    pos += consumed;
-    switch (rec.type) {
+  while (const std::optional<OpenContext::Record> rec = open_.open_next(bytes)) {
+    switch (rec->type) {
       case ContentType::kHandshake:
-        handle_handshake_bytes(rec.plaintext);
+        handle_handshake_bytes(rec->plaintext);
         break;
       case ContentType::kApplicationData:
-        app_bytes_received_ += rec.plaintext.size();
-        if (on_app_data) on_app_data(rec.plaintext);
+        app_bytes_received_ += rec->plaintext.size();
+        if (on_app_data) on_app_data(rec->plaintext);
         break;
       default:
         break;  // alerts / CCS are decorative in this model
     }
   }
-  rx_buf_.erase(rx_buf_.begin(), rx_buf_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 void Session::handle_handshake_bytes(util::BytesView bytes) {

@@ -21,7 +21,7 @@ TEST(TlsRecord, SealOpenRoundTrip) {
   const auto rec = open.open_one(wire, consumed);
   EXPECT_EQ(consumed, wire.size());
   EXPECT_EQ(rec.type, ContentType::kApplicationData);
-  EXPECT_EQ(rec.plaintext, plaintext);
+  EXPECT_EQ(util::Bytes(rec.plaintext.begin(), rec.plaintext.end()), plaintext);
 }
 
 TEST(TlsRecord, CiphertextIsScrambled) {
