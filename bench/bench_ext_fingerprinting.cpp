@@ -102,7 +102,7 @@ analysis::SizeProfile load_and_profile(const web::Site& site,
   h2::ConnectionConfig client_cfg;
   client_cfg.local_settings.initial_window_size = 1 << 20;
   client_cfg.connection_window_extra = 1 << 22;
-  h2::Connection client(h2::Role::kClient, client_cfg, [&](util::BytesView b) {
+  h2::Connection client(h2::Role::kClient, client_cfg, [&](const util::Pieces& b) {
     const tls::WireRange r = ctls.send_app(b);
     return h2::WireSpan{r.begin, r.end};
   });

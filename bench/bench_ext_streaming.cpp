@@ -77,7 +77,7 @@ StreamRun run_stream(bool prefetch, bool attack_spacing, std::uint64_t seed) {
   h2::ConnectionConfig player_cfg;
   player_cfg.local_settings.initial_window_size = 1 << 20;
   player_cfg.connection_window_extra = 1 << 22;
-  h2::Connection player(h2::Role::kClient, player_cfg, [&](util::BytesView b) {
+  h2::Connection player(h2::Role::kClient, player_cfg, [&](const util::Pieces& b) {
     const tls::WireRange r = ctls.send_app(b);
     return h2::WireSpan{r.begin, r.end};
   });

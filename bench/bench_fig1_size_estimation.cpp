@@ -79,7 +79,7 @@ CaseResult run_case(server::InterleavePolicy policy) {
   client_cfg.local_settings.initial_window_size = 1 << 20;  // browser-like
   client_cfg.connection_window_extra = 1 << 22;
   h2::Connection client(h2::Role::kClient, client_cfg,
-                        [&](util::BytesView b) {
+                        [&](const util::Pieces& b) {
                           const tls::WireRange r = ctls.send_app(b);
                           return h2::WireSpan{r.begin, r.end};
                         });

@@ -23,8 +23,8 @@ Browser::Browser(sim::Simulator& sim, const web::Site& site, web::RequestPlan pl
       session_(session),
       rng_(std::move(rng)) {
   conn_ = std::make_unique<h2::Connection>(
-      h2::Role::kClient, config_.h2, [this](util::BytesView bytes) -> h2::WireSpan {
-        const tls::WireRange range = session_.send_app(bytes);
+      h2::Role::kClient, config_.h2, [this](const util::Pieces& frame) -> h2::WireSpan {
+        const tls::WireRange range = session_.send_app(frame);
         return h2::WireSpan{range.begin, range.end};
       });
 

@@ -147,7 +147,12 @@ RunResult run_once(const RunConfig& config) {
   }
 
   // --- adversary --------------------------------------------------------------
-  TrafficMonitor monitor(middlebox);
+  // Only the observation and CSV exports read monitor.packets(); without
+  // them a load keeps no per-packet copy.
+  MonitorConfig monitor_config;
+  monitor_config.retain_packets =
+      config.observations_out != nullptr || !config.trace_export_prefix.empty();
+  TrafficMonitor monitor(middlebox, monitor_config);
   std::unique_ptr<capture::TraceWriter> trace_writer;
   if (config.capture.enabled()) {
     std::string trace_path = config.capture.path;

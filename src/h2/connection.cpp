@@ -57,8 +57,10 @@ void Connection::start() {
   if (started_) throw std::logic_error("h2::Connection::start called twice");
   started_ = true;
   if (role_ == Role::kClient) {
-    out_(util::BytesView(reinterpret_cast<const std::uint8_t*>(kConnectionPreface.data()),
-                         kConnectionPreface.size()));
+    const util::BytesView preface(
+        reinterpret_cast<const std::uint8_t*>(kConnectionPreface.data()),
+        kConnectionPreface.size());
+    out_(util::Pieces{.head = preface});
   }
   SettingsFrame sf;
   sf.settings = config_.local_settings.to_wire();
@@ -71,9 +73,10 @@ void Connection::start() {
 
 WireSpan Connection::write_data(std::uint32_t stream_id, util::BytesView payload,
                                 bool end_stream, std::uint8_t pad_length) {
-  frame_scratch_.clear();
-  encode_data_into(frame_scratch_, stream_id, payload, end_stream, pad_length);
-  const WireSpan span = out_(frame_scratch_.view());
+  const DataHead head =
+      data_frame_head(stream_id, payload.size(), end_stream, pad_length);
+  const WireSpan span =
+      out_(util::Pieces{.head = head.view(), .payload = payload, .zeros = pad_length});
   ++stats_.frames_sent;
   obs::count(obs::Counter::kH2DataSent);
   obs::count(obs::Counter::kH2DataBytesSent, payload.size());
@@ -85,7 +88,7 @@ WireSpan Connection::write_data(std::uint32_t stream_id, util::BytesView payload
 WireSpan Connection::write_frame(const Frame& f) {
   frame_scratch_.clear();
   encode_frame_into(frame_scratch_, f);
-  const WireSpan span = out_(frame_scratch_.view());
+  const WireSpan span = out_(util::Pieces{.head = frame_scratch_.view()});
   ++stats_.frames_sent;
   obs::count(obs::h2_frame_sent_counter(static_cast<unsigned>(frame_type(f))));
   if (on_frame_sent) on_frame_sent(frame_stream_id(f), frame_type(f), span);
@@ -207,22 +210,41 @@ void Connection::send_data(std::uint32_t stream_id, util::BytesView data,
   if (!s.can_send_data()) {
     throw std::logic_error("send_data in state " + std::string(to_string(s.state)));
   }
-  s.pending.append(data);
   if (end_stream) s.pending_end_stream = true;
-  flush_stream_pending(s);
+  if (!s.pending.empty()) {
+    s.pending.append(data);
+    flush_stream_pending(s);
+    return;
+  }
+  // Nothing queued ahead: frame straight from the caller's view and queue
+  // only the residue the windows hold back.
+  const std::size_t sent = write_body(s, data);
+  s.pending.append(data.subspan(sent));
+  finish_flush(s, sent > 0 && sent == data.size());
 }
 
 void Connection::flush_stream_pending(Stream& s) {
+  std::size_t sent = 0;
+  if (!s.pending.empty()) {
+    // The view stays valid until the next append(), which cannot happen
+    // inside write_body().
+    sent = write_body(s, s.pending.front(s.pending.size()));
+    s.pending.pop(sent);
+  }
+  finish_flush(s, sent > 0 && s.pending.empty());
+}
+
+std::size_t Connection::write_body(Stream& s, util::BytesView body) {
   // With a pad provider installed, keep room for the pad-length byte plus a
   // maximal pad inside the frame-size limit (max_frame_size >= 16384 >> 256).
   const bool padded = static_cast<bool>(data_pad_provider);
   const std::int64_t frame_cap =
       static_cast<std::int64_t>(peer_settings_.max_frame_size) - (padded ? 256 : 0);
-  bool drained_now = false;
-  while (!s.pending.empty()) {
+  std::size_t sent = 0;
+  while (sent < body.size()) {
     const std::int64_t window = std::min(s.send_window, conn_send_window_);
     const std::int64_t allowed = std::min<std::int64_t>(
-        {static_cast<std::int64_t>(s.pending.size()), frame_cap, window});
+        {static_cast<std::int64_t>(body.size() - sent), frame_cap, window});
     if (allowed <= 0) break;
     // Pad bytes share the flow-control window with body bytes (the receive
     // side credits data + pad symmetrically), so clamp the pad to whatever
@@ -233,22 +255,22 @@ void Connection::flush_stream_pending(Stream& s) {
       pad = static_cast<std::uint8_t>(
           std::min<std::int64_t>(pad, window - allowed));
     }
-    // Encode straight from the queue's contiguous front — no DataFrame, no
-    // per-frame body copy. The view stays valid until the next append(),
-    // which cannot happen inside write_data().
-    const util::BytesView payload = s.pending.front(static_cast<std::size_t>(allowed));
-    const bool end_stream =
-        s.pending.size() == static_cast<std::size_t>(allowed) && s.pending_end_stream;
+    const util::BytesView payload = body.subspan(sent, static_cast<std::size_t>(allowed));
+    sent += payload.size();
+    const bool end_stream = sent == body.size() && s.pending_end_stream;
     s.send_window -= allowed + pad;
     conn_send_window_ -= allowed + pad;
-    s.data_bytes_sent += static_cast<std::uint64_t>(allowed);
-    stats_.data_bytes_sent += static_cast<std::uint64_t>(allowed);
+    s.data_bytes_sent += payload.size();
+    stats_.data_bytes_sent += payload.size();
     ++stats_.data_frames_sent;
     if (end_stream) s.end_local();
     write_data(s.id, payload, end_stream, pad);
-    s.pending.pop(static_cast<std::size_t>(allowed));
-    if (s.pending.empty()) drained_now = true;
   }
+  return sent;
+}
+
+void Connection::finish_flush(Stream& s, bool drained_now) {
+  const bool padded = static_cast<bool>(data_pad_provider);
   // END_STREAM on an empty tail (e.g. zero-length body or end after flush).
   if (s.pending.empty() && s.pending_end_stream && !s.local_end_sent &&
       s.state != StreamState::kClosed) {

@@ -1,5 +1,7 @@
 #include "h2priv/h2/frame.hpp"
 
+#include <stdexcept>
+
 #include "h2priv/util/narrow.hpp"
 
 namespace h2priv::h2 {
@@ -66,18 +68,29 @@ FrameHeader read_header(util::ByteReader& r) {
 
 }  // namespace
 
-void encode_data_into(util::ByteWriter& w, std::uint32_t stream_id, util::BytesView data,
-                      bool end_stream, std::uint8_t pad_length) {
+DataHead data_frame_head(std::uint32_t stream_id, std::size_t payload_len,
+                         bool end_stream, std::uint8_t pad_length) {
   std::uint8_t flags = end_stream ? kFlagEndStream : 0;
-  std::uint32_t length = util::narrow<std::uint32_t>(data.size());
+  std::uint32_t length = util::narrow<std::uint32_t>(payload_len);
   if (pad_length > 0) {
     flags |= kFlagPadded;
     length += 1u + pad_length;
   }
-  write_header(w, length, FrameType::kData, flags, stream_id);
-  if (pad_length > 0) w.u8(pad_length);
-  w.bytes(data);
-  if (pad_length > 0) w.fill(pad_length, 0);
+  if (length >= (1u << 24)) throw std::invalid_argument("u24 value out of range");
+  DataHead head;
+  const std::uint32_t id = stream_id & kMaxStreamId;
+  head.bytes = {static_cast<std::uint8_t>(length >> 16),
+                static_cast<std::uint8_t>(length >> 8),
+                static_cast<std::uint8_t>(length),
+                static_cast<std::uint8_t>(FrameType::kData),
+                flags,
+                static_cast<std::uint8_t>(id >> 24),
+                static_cast<std::uint8_t>(id >> 16),
+                static_cast<std::uint8_t>(id >> 8),
+                static_cast<std::uint8_t>(id),
+                pad_length};
+  head.size = kFrameHeaderBytes + (pad_length > 0 ? 1 : 0);
+  return head;
 }
 
 namespace {
@@ -86,7 +99,12 @@ struct Encoder {
   util::ByteWriter& w;
 
   void operator()(const DataFrame& f) {
-    encode_data_into(w, f.stream_id, f.data, f.end_stream, f.pad_length);
+    const DataHead head = data_frame_head(f.stream_id, f.data.size(), f.end_stream,
+                                          f.pad_length);
+    w.reserve(head.size + f.data.size() + f.pad_length);
+    w.bytes(head.view());
+    w.bytes(f.data);
+    w.fill(f.pad_length, 0);
   }
 
   void operator()(const HeadersFrame& f) {
@@ -174,8 +192,7 @@ Frame decode_payload(const FrameHeader& h, util::ByteReader& r) {
         if (f.pad_length + 1u > h.length) throw FrameError("DATA padding exceeds length");
         data_len = h.length - 1 - f.pad_length;
       }
-      const auto body = r.bytes(data_len);
-      f.data.assign(body.begin(), body.end());
+      f.data = r.bytes(data_len);
       if (h.flags & kFlagPadded) r.skip(f.pad_length);
       return f;
     }

@@ -2,11 +2,15 @@
 // HEADERS, DATA with connection- and stream-level flow control, RST_STREAM,
 // PING, GOAWAY, WINDOW_UPDATE and server push.
 //
-// The connection is transport-agnostic: it emits wire bytes through a
-// ByteSink and is fed received bytes via on_bytes(). The sink returns the
-// byte range the write occupies in the underlying TCP stream, which the
-// server uses for ground-truth annotation of which object each DATA frame
-// carried (the simulator-side oracle the adversary never sees).
+// The connection is transport-agnostic: it emits each frame through a
+// ByteSink and is fed received bytes via on_bytes(). A frame goes to the
+// sink in pieces (util::Pieces): a DATA frame as its header bytes, the
+// caller's payload view and its pad-zero count, so body bytes reach the
+// TLS sealer without a copy; other frames as encoded header bytes alone.
+// The sink returns the byte range the frame occupies in the underlying TCP
+// stream, which the server uses for ground-truth annotation of which object
+// each DATA frame carried (the simulator-side oracle the adversary never
+// sees).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +44,7 @@ struct ConnectionConfig {
 
 class Connection {
  public:
-  using ByteSink = std::function<WireSpan(util::BytesView)>;
+  using ByteSink = std::function<WireSpan(const util::Pieces&)>;
 
   Connection(Role role, ConnectionConfig config, ByteSink out);
 
@@ -58,8 +62,10 @@ class Connection {
   // --- server API ----------------------------------------------------------
   void send_response_headers(std::uint32_t stream_id, const hpack::HeaderList& headers,
                              bool end_stream = false);
-  /// Queues body bytes on the stream and transmits as much as flow control
-  /// allows; the rest drains on WINDOW_UPDATEs. end_stream marks the final
+  /// Transmits body bytes as DATA frames, straight from `data`, while flow
+  /// control allows; only the residue it holds back is copied into the
+  /// stream's pending queue, to drain on WINDOW_UPDATEs (with bytes already
+  /// queued, all of `data` queues behind them). end_stream marks the final
   /// write for this stream.
   void send_data(std::uint32_t stream_id, util::BytesView data, bool end_stream);
   /// Reserves a promised stream (server push); returns the promised id.
@@ -138,6 +144,12 @@ class Connection {
   Stream& require_stream(std::uint32_t id);
   Stream& ensure_remote_stream(std::uint32_t id);
   void flush_stream_pending(Stream& s);
+  /// Writes DATA frames from the front of `body` (all of the stream's
+  /// unsent bytes) while both windows allow; returns the bytes written.
+  std::size_t write_body(Stream& s, util::BytesView body);
+  /// After a flush: the END_STREAM-only frame a drained stream still owes,
+  /// then on_stream_drained if the stream's bytes drained now.
+  void finish_flush(Stream& s, bool drained_now);
   WireSpan write_data(std::uint32_t stream_id, util::BytesView payload, bool end_stream,
                       std::uint8_t pad_length);
   void drain_blocked_streams();
@@ -146,7 +158,7 @@ class Connection {
   Role role_;
   ConnectionConfig config_;
   ByteSink out_;
-  util::ByteWriter frame_scratch_;  // reused across write_frame calls
+  util::ByteWriter frame_scratch_;  // control frames, reused across write_frame calls
   FrameDecoder decoder_;
   hpack::Encoder hpack_encoder_;
   hpack::Decoder hpack_decoder_;

@@ -78,7 +78,10 @@ struct FrameHeader {
 
 struct DataFrame {
   std::uint32_t stream_id = 0;
-  util::Bytes data;
+  /// Borrowed payload. A decoded frame's view points into the bytes handed
+  /// to FrameDecoder::decode and is valid only inside the on_frame call; a
+  /// frame built for encoding points at a buffer its builder keeps alive.
+  util::BytesView data;
   bool end_stream = false;
   std::uint8_t pad_length = 0;  ///< padding bytes appended on the wire
 };
@@ -160,11 +163,16 @@ using Frame = std::variant<DataFrame, HeadersFrame, PriorityFrame, RstStreamFram
 /// Lets h2::Connection reuse one scratch buffer for every frame it writes.
 void encode_frame_into(util::ByteWriter& w, const Frame& f);
 
-/// Encodes a DATA frame straight from a borrowed payload view — the hot
-/// body path never materialises a DataFrame (whose `data` member owns a
-/// copy). Bit-identical to encoding the equivalent DataFrame.
-void encode_data_into(util::ByteWriter& w, std::uint32_t stream_id, util::BytesView data,
-                      bool end_stream, std::uint8_t pad_length);
+/// The bytes of a DATA frame ahead of its payload: the 9-byte frame header,
+/// then the pad-length byte when the frame is padded. The payload and
+/// `pad_length` zero bytes follow on the wire.
+struct DataHead {
+  std::array<std::uint8_t, kFrameHeaderBytes + 1> bytes{};
+  std::size_t size = 0;
+  [[nodiscard]] util::BytesView view() const noexcept { return {bytes.data(), size}; }
+};
+[[nodiscard]] DataHead data_frame_head(std::uint32_t stream_id, std::size_t payload_len,
+                                       bool end_stream, std::uint8_t pad_length);
 
 /// Incremental decoder over an arbitrary byte-stream chunking.
 class FrameDecoder {
@@ -177,14 +185,20 @@ class FrameDecoder {
   /// straight from `bytes`; only a trailing partial frame is copied, and the
   /// next call appends just the bytes it still lacks. Throws FrameError on a
   /// malformed frame, after handing on the frames before it.
+  /// A DataFrame's payload view is valid only during its on_frame call.
   template <class OnFrame>
   void decode(util::BytesView bytes, OnFrame&& on_frame) {
     if (!buf_.empty()) {
       if (!top_up(bytes)) return;
-      util::BytesView queued = buf_;  // exactly one frame now
-      std::optional<Frame> frame = parse_front(queued);
-      buf_.clear();
-      if (frame) on_frame(std::move(*frame));
+      // Exactly one frame is queued now. Take it out of buf_ first, so a
+      // throwing on_frame leaves the decoder empty, and hand buf_'s storage
+      // back once the frame's views are done with.
+      util::Bytes queued_frame;
+      queued_frame.swap(buf_);
+      util::BytesView queued = queued_frame;
+      if (std::optional<Frame> frame = parse_front(queued)) on_frame(std::move(*frame));
+      queued_frame.clear();
+      buf_.swap(queued_frame);
     }
     while (std::optional<Frame> frame = parse_front(bytes)) on_frame(std::move(*frame));
     buf_.assign(bytes.begin(), bytes.end());

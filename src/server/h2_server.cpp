@@ -25,8 +25,8 @@ H2Server::H2Server(sim::Simulator& sim, const web::Site& site, ServerConfig conf
       rng_(std::move(rng)),
       truth_(truth) {
   conn_ = std::make_unique<h2::Connection>(
-      h2::Role::kServer, config_.h2, [this](util::BytesView bytes) -> h2::WireSpan {
-        const tls::WireRange range = session_.send_app(bytes);
+      h2::Role::kServer, config_.h2, [this](const util::Pieces& frame) -> h2::WireSpan {
+        const tls::WireRange range = session_.send_app(frame);
         return h2::WireSpan{range.begin, range.end};
       });
 

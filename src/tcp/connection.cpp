@@ -60,14 +60,14 @@ void Connection::listen() {
   state_ = State::kListen;
 }
 
-std::uint64_t Connection::send(util::BytesView data) {
+std::uint64_t Connection::send(util::SharedBytes data) {
   if (state_ == State::kClosed || state_ == State::kTimeWait || fin_queued_) {
     throw std::logic_error("tcp::send: connection not writable");
   }
   if (static_cast<std::int64_t>(data.size()) > send_capacity()) {
     throw std::length_error("tcp::send: exceeds send buffer limit");
   }
-  const std::uint64_t offset = send_buf_.append(data);
+  const std::uint64_t offset = send_buf_.append(std::move(data));
   obs_->sample(obs::Hist::kTcpSendBufOccupancy, send_buf_.outstanding());
   obs_->gauge_max(obs::Gauge::kTcpSendBufferBytes, send_buf_.outstanding());
   const std::uint64_t sent_offset =
@@ -121,21 +121,23 @@ std::uint64_t Connection::effective_window() const noexcept {
   return std::min<std::uint64_t>(wnd, rwnd_peer_);
 }
 
-void Connection::emit(SegmentView s) {
+void Connection::emit(SegmentView s, std::uint64_t data_offset, std::size_t data_len) {
   s.src_port = config_.local_port;
   s.dst_port = config_.remote_port;
   s.window = advertised_window();
   ++stats_.segments_sent;
   obs_->add(obs::Counter::kTcpSegmentsSent);
-  if (!s.payload.empty()) {
+  if (data_len > 0) {
     ++stats_.data_segments_sent;
-    stats_.payload_bytes_sent += s.payload.size();
+    stats_.payload_bytes_sent += data_len;
   }
-  // One pooled chunk per segment: header + payload serialise straight into
-  // it, and the chunk rides the Packet all the way to the receiving
-  // endpoint before returning to this thread's pool.
-  util::ByteWriter w(util::default_pool(), kHeaderBytes + s.payload.size());
-  encode_segment(w, s);
+  // One pooled chunk per segment: the header serialises into it and the
+  // payload is gathered from the send buffer's writes straight behind it;
+  // the chunk rides the Packet all the way to the receiving endpoint before
+  // returning to this thread's pool.
+  util::ByteWriter w(util::default_pool(), kHeaderBytes + data_len);
+  encode_segment_header(w, s, data_len);
+  if (data_len > 0) send_buf_.copy_out(data_offset, data_len, w.append(data_len));
   out_(w.take_shared());
 }
 
@@ -215,14 +217,13 @@ void Connection::pump() {
       seg.flags = kFlagAck;
       seg.seq = snd_nxt_;
       seg.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-      seg.payload = send_buf_.read_view(next_offset, n);
       if (!timing_active_) {
         timing_active_ = true;
         timed_end_seq_ = snd_nxt_ + n;
         timed_at_ = sim_.now();
       }
       snd_nxt_ += n;
-      emit(seg);
+      emit(seg, next_offset, n);
       last_send_activity_ = sim_.now();
       sent_any = true;
       continue;
@@ -280,8 +281,7 @@ void Connection::retransmit_head(const char* /*why*/) {
     seg.flags = kFlagAck;
     seg.seq = seq_of(off);
     seg.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-    seg.payload = send_buf_.read_view(off, n);
-    emit(seg);
+    emit(seg, off, n);
   } else if (fin_sent_ && snd_una_ <= fin_seq()) {
     SegmentView fin;
     fin.flags = kFlagFin | kFlagAck;

@@ -113,9 +113,10 @@ class Connection {
   /// Delivers a received wire-format segment into the connection.
   void on_wire(util::BytesView wire);
 
-  /// Enqueues application bytes; returns the stream offset of the first byte.
+  /// Enqueues application bytes by reference (the send buffer holds `data`
+  /// until it is acknowledged); returns the stream offset of the first byte.
   /// Throws std::length_error if it would exceed send_buffer_limit.
-  std::uint64_t send(util::BytesView data);
+  std::uint64_t send(util::SharedBytes data);
 
   /// Bytes that can still be enqueued without exceeding the backlog cap.
   [[nodiscard]] std::int64_t send_capacity() const noexcept;
@@ -156,7 +157,9 @@ class Connection {
   }
   [[nodiscard]] std::uint64_t fin_seq() const noexcept { return seq_of(send_buf_.end()); }
 
-  void emit(SegmentView s);
+  /// Sends `s` with the `data_len` send-buffer bytes from stream offset
+  /// `data_offset` as its payload (s.payload is not read).
+  void emit(SegmentView s, std::uint64_t data_offset = 0, std::size_t data_len = 0);
   void send_ack(bool duplicate);
   void ack_received_data(bool out_of_order);
   void flush_delayed_ack();

@@ -54,10 +54,10 @@ struct Segment {
 /// does. Returns the header fields and the payload view (still "encrypted"
 /// at the TLS layer; the observer may parse TLS record headers from it).
 ///
-/// Also doubles as the zero-copy *encode* input: tcp::Connection fills the
-/// header fields and points `payload` at the send buffer, then
-/// encode_segment() serialises straight into a pooled writer — the payload
-/// is never copied into an owning Segment on the transmit path.
+/// Also doubles as the *encode* input: tcp::Connection fills the header
+/// fields, encode_segment_header() serialises them into a pooled writer and
+/// the send buffer gathers the payload straight behind them — the payload is
+/// never copied into an owning Segment on the transmit path.
 struct SegmentView {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -78,6 +78,11 @@ struct SegmentView {
   }
 };
 [[nodiscard]] SegmentView peek(util::BytesView wire);
+
+/// Serialises the header of a segment carrying `payload_len` payload bytes
+/// (s.payload is not read), reserving room for header and payload.
+void encode_segment_header(util::ByteWriter& w, const SegmentView& s,
+                           std::size_t payload_len);
 
 /// Serialises header + payload into `w` with the exact wire size reserved.
 /// Byte-for-byte identical to Segment::encode() for the same fields.

@@ -6,8 +6,9 @@
 
 namespace h2priv::tcp {
 
-void encode_segment(util::ByteWriter& w, const SegmentView& s) {
-  w.reserve(kHeaderBytes + s.payload.size());
+void encode_segment_header(util::ByteWriter& w, const SegmentView& s,
+                           std::size_t payload_len) {
+  w.reserve(kHeaderBytes + payload_len);
   w.u16(s.src_port);
   w.u16(s.dst_port);
   w.u64(s.seq);
@@ -15,7 +16,11 @@ void encode_segment(util::ByteWriter& w, const SegmentView& s) {
   w.u8(s.flags);
   w.u8(0);
   w.u32(s.window);
-  w.u16(util::narrow<std::uint16_t>(s.payload.size()));
+  w.u16(util::narrow<std::uint16_t>(payload_len));
+}
+
+void encode_segment(util::ByteWriter& w, const SegmentView& s) {
+  encode_segment_header(w, s, s.payload.size());
   w.bytes(s.payload);
 }
 

@@ -6,40 +6,59 @@
 
 namespace h2priv::tcp {
 
-std::uint64_t SendBuffer::append(util::BytesView data) {
-  const std::uint64_t offset = end();
-  // Reclaim the acked prefix once it dominates the live bytes; sliding at
-  // most `live()` bytes after at least as many were acked keeps the cost
-  // amortized O(1) and the live region always contiguous.
-  if (head_ > 0 && head_ >= live()) {
-    std::memmove(buf_.data(), buf_.data() + head_, live());
-    buf_.resize(live());
+std::uint64_t SendBuffer::append(util::SharedBytes data) {
+  const std::uint64_t offset = end_;
+  if (data.empty()) return offset;
+  // Reclaim the released prefix once it dominates the held writes; each
+  // handle is moved at most once per time it is released (amortized O(1)).
+  if (head_ > 0 && head_ >= writes_held()) {
+    writes_.erase(writes_.begin(), writes_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  end_ += data.size();
+  writes_.push_back(Write{offset, std::move(data)});
   return offset;
 }
 
-util::BytesView SendBuffer::read_view(std::uint64_t offset,
-                                      std::size_t max_len) const {
-  if (offset < base_ || offset > end()) {
+void SendBuffer::copy_out(std::uint64_t offset, std::size_t n, std::uint8_t* dst) const {
+  if (offset < acked_ || offset > end_ || n > end_ - offset) {
     throw std::out_of_range("SendBuffer::read: offset outside buffered range");
   }
-  const std::size_t start = head_ + static_cast<std::size_t>(offset - base_);
-  const std::size_t n = std::min(max_len, buf_.size() - start);
-  return {buf_.data() + start, n};
+  if (n == 0) return;
+  // The last held write that starts at or below `offset` holds its first byte.
+  auto it = std::upper_bound(
+      writes_.begin() + static_cast<std::ptrdiff_t>(head_), writes_.end(), offset,
+      [](std::uint64_t off, const Write& w) { return off < w.offset; });
+  --it;
+  std::size_t at = static_cast<std::size_t>(offset - it->offset);
+  while (n > 0) {
+    const std::size_t m = std::min(n, it->bytes.size() - at);
+    std::memcpy(dst, it->bytes.data() + at, m);
+    dst += m;
+    n -= m;
+    at = 0;
+    ++it;
+  }
 }
 
 util::Bytes SendBuffer::read(std::uint64_t offset, std::size_t max_len) const {
-  const util::BytesView v = read_view(offset, max_len);
-  return {v.begin(), v.end()};
+  if (offset < acked_ || offset > end_) {
+    throw std::out_of_range("SendBuffer::read: offset outside buffered range");
+  }
+  util::Bytes out(
+      static_cast<std::size_t>(std::min<std::uint64_t>(max_len, end_ - offset)));
+  copy_out(offset, out.size(), out.data());
+  return out;
 }
 
 void SendBuffer::ack(std::uint64_t new_acked) {
-  if (new_acked <= base_) return;
-  if (new_acked > end()) throw std::out_of_range("SendBuffer::ack: beyond enqueued data");
-  head_ += static_cast<std::size_t>(new_acked - base_);
-  base_ = new_acked;
+  if (new_acked <= acked_) return;
+  if (new_acked > end_) throw std::out_of_range("SendBuffer::ack: beyond enqueued data");
+  acked_ = new_acked;
+  while (head_ < writes_.size() &&
+         writes_[head_].offset + writes_[head_].bytes.size() <= acked_) {
+    writes_[head_++].bytes = util::SharedBytes{};
+  }
 }
 
 }  // namespace h2priv::tcp

@@ -57,11 +57,17 @@ class SealContext {
   /// bytes. Empty plaintext produces a single empty record.
   [[nodiscard]] util::Bytes seal(ContentType type, util::BytesView plaintext);
 
-  /// Same wire bytes as seal(), emitted into a pooled buffer — the hot-path
-  /// variant used by tls::Session (the chunk recycles once the bytes are
-  /// appended to the TCP send buffer).
+  /// Same wire bytes as seal() of the joined pieces, emitted into one pooled
+  /// buffer — the hot-path variant used by tls::Session; tcp::SendBuffer
+  /// then holds that buffer until the peer acknowledges it. The pieces are
+  /// read where they lie: whole words go straight through the cipher pass,
+  /// and only a word that straddles two pieces is gathered first.
   [[nodiscard]] util::SharedBytes seal_shared(ContentType type,
-                                              util::BytesView plaintext);
+                                              const util::Pieces& plaintext);
+  [[nodiscard]] util::SharedBytes seal_shared(ContentType type,
+                                              util::BytesView plaintext) {
+    return seal_shared(type, util::Pieces{.payload = plaintext});
+  }
 
   [[nodiscard]] std::uint64_t records_sealed() const noexcept { return seq_; }
 
@@ -81,7 +87,14 @@ class SealContext {
   [[nodiscard]] std::size_t pad_bucket() const noexcept { return pad_bucket_; }
 
  private:
-  void seal_into(util::ByteWriter& w, ContentType type, util::BytesView plaintext);
+  [[nodiscard]] bool quantizes(ContentType type) const noexcept {
+    return pad_bucket_ > 0 && type == ContentType::kApplicationData;
+  }
+  /// Exact wire size of sealing `plaintext_len` bytes of `type`, padding
+  /// included, so the output buffer never grows mid-seal.
+  [[nodiscard]] std::size_t wire_size(ContentType type,
+                                      std::size_t plaintext_len) const noexcept;
+  void seal_into(util::ByteWriter& w, ContentType type, const util::Pieces& plaintext);
 
   std::uint64_t secret_;
   std::uint8_t domain_;

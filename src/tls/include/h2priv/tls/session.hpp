@@ -5,6 +5,10 @@
 // that an on-path monitor sees a realistic preamble to skip (as tshark does
 // before `ssl.record.content_type==23` traffic starts).
 //
+// Send path: send_app seals the caller's pieces (an h2 frame's header,
+// payload view and pad zeros) in one pass into a pooled buffer, which
+// tcp::SendBuffer then holds by reference until it is acknowledged.
+//
 // Receive path: the views TCP delivers go straight to OpenContext::open_next,
 // which decrypts each record body into the context's plaintext buffer as the
 // bytes arrive, however the stream is split; no ciphertext is buffered.
@@ -43,10 +47,14 @@ class Session {
   /// hooks; interact with those events through the Session from now on.
   Session(Role role, std::uint64_t session_secret, tcp::Connection& transport);
 
-  /// Seals and enqueues application bytes. Returns the TCP stream range the
-  /// sealed records occupy. Throws std::logic_error before the handshake
-  /// completes.
-  WireRange send_app(util::BytesView plaintext);
+  /// Seals and enqueues application bytes, read in place from their pieces;
+  /// the sealed records go to the TCP send buffer by reference. Returns the
+  /// TCP stream range the records occupy. Throws std::logic_error before the
+  /// handshake completes.
+  WireRange send_app(const util::Pieces& plaintext);
+  WireRange send_app(util::BytesView plaintext) {
+    return send_app(util::Pieces{.payload = plaintext});
+  }
 
   /// TCP send-buffer room left for *plaintext*, conservatively accounting
   /// for record overhead.

@@ -66,9 +66,11 @@ RecordKeys record_keys(std::uint64_t secret, std::uint8_t domain,
 /// index `first`: dst = src XOR keystream, with the plaintext side (src when
 /// sealing, dst when opening) folded into the checksum `h` in the same loop.
 /// src == dst is allowed.
-std::uint64_t crypt_words(std::uint64_t base, std::uint64_t first, std::uint64_t h,
-                          const std::uint8_t* src, std::uint8_t* dst, std::size_t words,
-                          bool opening) noexcept {
+/// Always inlined, so each caller gets its own loop with `opening` folded.
+[[gnu::always_inline]] inline std::uint64_t crypt_words(
+    std::uint64_t base, std::uint64_t first, std::uint64_t h,
+    const std::uint8_t* src, std::uint8_t* dst, std::size_t words,
+    bool opening) noexcept {
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t in = 0;
     std::memcpy(&in, src + 8 * i, 8);
@@ -123,31 +125,107 @@ ContentType check_type(std::uint8_t raw) {
 
 }  // namespace
 
+namespace {
+
+constexpr std::array<std::uint8_t, 1> kContentMarker = {0x17};
+
+/// Plaintext bytes of a quantized record holding `chunk` content bytes:
+/// content || 0x17 marker || zero filler, rounded up to the bucket (capped
+/// at the record-size limit).
+std::size_t quantized_len(std::size_t chunk, std::size_t bucket) noexcept {
+  const std::size_t rem = (chunk + 1) % bucket;
+  return std::min(chunk + 1 + (rem == 0 ? 0 : bucket - rem), kMaxPlaintext);
+}
+
+/// Hands out the plaintext of one seal call front to back as views: the
+/// head, the payload, then the zeros as a view of the zero page.
+class PieceCursor {
+ public:
+  explicit PieceCursor(const util::Pieces& p)
+      : views_{p.head, p.payload, util::zero_bytes(p.zeros)} {}
+
+  /// Appends views of the next `n` bytes (at most what is left) to `out`
+  /// from `at` on; returns the index past the last view written.
+  std::size_t take(std::size_t n, util::BytesView* out, std::size_t at) noexcept {
+    while (n > 0) {
+      while (views_[next_].empty()) ++next_;
+      const std::size_t m = std::min(n, views_[next_].size());
+      out[at++] = views_[next_].first(m);
+      views_[next_] = views_[next_].subspan(m);
+      n -= m;
+    }
+    return at;
+  }
+
+ private:
+  std::array<util::BytesView, 3> views_;
+  std::size_t next_ = 0;
+};
+
+/// Seals one record body whose plaintext is the concatenation of `parts`
+/// into `out`; returns the checksum folded from `h`. Whole words run
+/// straight from each part through crypt_words; only a word that straddles
+/// two parts, or the record's last n < 8 bytes, is gathered first.
+std::uint64_t seal_parts(std::uint64_t base, std::uint64_t h,
+                         const util::BytesView* parts, std::size_t count,
+                         std::uint8_t* out) noexcept {
+  std::size_t pos = 0;   // body offset; a multiple of 8 until the tail
+  std::size_t next = 0;  // parts[next] is the first part not yet started
+  util::BytesView cur;
+  const auto advance = [&] {
+    while (cur.empty() && next < count) cur = parts[next++];
+    return !cur.empty();
+  };
+  while (advance()) {
+    if (cur.size() >= 8) {
+      const std::size_t words = cur.size() / 8;
+      h = crypt_words(base, pos / 8, h, cur.data(), out + pos, words, false);
+      pos += 8 * words;
+      cur = cur.subspan(8 * words);
+      continue;
+    }
+    std::array<std::uint8_t, 8> word{};
+    std::size_t have = 0;
+    do {
+      const std::size_t m = std::min(8 - have, cur.size());
+      for (std::size_t j = 0; j < m; ++j) word[have + j] = cur[j];
+      have += m;
+      cur = cur.subspan(m);
+    } while (have < 8 && advance());
+    if (have == 8) {
+      h = crypt_words(base, pos / 8, h, word.data(), out + pos, 1, false);
+    } else {
+      crypt_bytes(base, pos / 8, 0, word.data(), out + pos, have);
+      h = fold_bytes(h, word.data(), have);
+    }
+    pos += have;
+  }
+  return h;
+}
+
+}  // namespace
+
 void SealContext::seal_into(util::ByteWriter& w, ContentType type,
-                            util::BytesView plaintext) {
-  w.reserve(sealed_size(plaintext.size()));
+                            const util::Pieces& plaintext) {
   // Record quantization applies to application data only — the handshake
   // preamble must keep its recognizable flight sizes.
-  const bool quantize = pad_bucket_ > 0 && type == ContentType::kApplicationData;
+  const bool quantize = quantizes(type);
   // Quantized chunks leave one byte of headroom for the content marker.
   const std::size_t chunk_limit = quantize ? kMaxPlaintext - 1 : kMaxPlaintext;
+  const std::size_t total = plaintext.size();
+  PieceCursor cursor(plaintext);
   std::size_t off = 0;
-  std::array<std::uint8_t, kMaxPlaintext> padded;
   do {
-    const std::size_t chunk = std::min(plaintext.size() - off, chunk_limit);
-    util::BytesView piece = plaintext.subspan(off, chunk);
+    const std::size_t chunk = std::min(total - off, chunk_limit);
+    // Up to three slices of the pieces, then the marker and filler.
+    std::array<util::BytesView, 5> parts{};
+    std::size_t count = cursor.take(chunk, parts.data(), 0);
     std::size_t content_len = chunk;
     if (quantize) {
-      // TLS 1.3-style inner framing: content || 0x17 marker || zero filler,
-      // rounded up to the bucket (capped at the record-size limit).
-      const std::size_t rem = (chunk + 1) % pad_bucket_;
-      content_len =
-          std::min(chunk + 1 + (rem == 0 ? 0 : pad_bucket_ - rem), kMaxPlaintext);
-      std::copy(piece.begin(), piece.end(), padded.begin());
-      padded[chunk] = 0x17;
-      std::fill(padded.begin() + static_cast<std::ptrdiff_t>(chunk + 1),
-                padded.begin() + static_cast<std::ptrdiff_t>(content_len), 0);
-      piece = util::BytesView(padded.data(), content_len);
+      // TLS 1.3-style inner framing: content || 0x17 marker || zero filler.
+      content_len = quantized_len(chunk, pad_bucket_);
+      parts[count++] = kContentMarker;
+      parts[count++] = util::zero_bytes(content_len - chunk - 1);
       obs::count(obs::Counter::kTlsPadBytesSealed, content_len - chunk);
     }
     const std::uint64_t seq = seq_++;
@@ -157,30 +235,39 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
     w.u16(util::narrow<std::uint16_t>(content_len + kAeadOverhead));
     const RecordKeys keys = record_keys(secret_, domain_, seq);
     std::uint8_t* const out = w.append(content_len);
-    const std::size_t whole = content_len / 8 * 8;
-    std::uint64_t h2 = crypt_words(keys.base, 0, keys.seed, piece.data(), out, whole / 8,
-                                   false);
-    crypt_bytes(keys.base, whole / 8, 0, piece.data() + whole, out + whole,
-                content_len - whole);
-    h2 = fold_bytes(h2, piece.data() + whole, content_len - whole);
+    const std::uint64_t h2 = seal_parts(keys.base, keys.seed, parts.data(), count, out);
     const auto tag = make_tag(keys.k, h2);
     w.bytes(util::BytesView(tag.data(), tag.size()));
     obs::count(obs::Counter::kTlsRecordsSealed);
     obs::sample(obs::Hist::kTlsRecordBytes, content_len);
     off += chunk;
-  } while (off < plaintext.size());
+  } while (off < total);
 }
 
 util::Bytes SealContext::seal(ContentType type, util::BytesView plaintext) {
-  util::ByteWriter w(sealed_size(plaintext.size()));
-  seal_into(w, type, plaintext);
+  util::ByteWriter w(wire_size(type, plaintext.size()));
+  seal_into(w, type, util::Pieces{.payload = plaintext});
   return w.take();
 }
 
-util::SharedBytes SealContext::seal_shared(ContentType type, util::BytesView plaintext) {
-  util::ByteWriter w(util::default_pool(), sealed_size(plaintext.size()));
+util::SharedBytes SealContext::seal_shared(ContentType type,
+                                           const util::Pieces& plaintext) {
+  util::ByteWriter w(util::default_pool(), wire_size(type, plaintext.size()));
   seal_into(w, type, plaintext);
   return w.take_shared();
+}
+
+std::size_t SealContext::wire_size(ContentType type,
+                                   std::size_t plaintext_len) const noexcept {
+  if (!quantizes(type)) return sealed_size(plaintext_len);
+  std::size_t size = 0;
+  std::size_t off = 0;
+  do {
+    const std::size_t chunk = std::min(plaintext_len - off, kMaxPlaintext - 1);
+    size += kHeaderBytes + quantized_len(chunk, pad_bucket_) + kAeadOverhead;
+    off += chunk;
+  } while (off < plaintext_len);
+  return size;
 }
 
 std::size_t SealContext::sealed_size(std::size_t plaintext_len) noexcept {

@@ -95,7 +95,7 @@ void Session::become_established() {
   if (on_established) on_established();
 }
 
-WireRange Session::send_app(util::BytesView plaintext) {
+WireRange Session::send_app(const util::Pieces& plaintext) {
   if (!established_) throw std::logic_error("tls::Session::send_app before handshake");
   const std::uint64_t begin = tcp_.bytes_enqueued();
   tcp_.send(seal_.seal_shared(ContentType::kApplicationData, plaintext));

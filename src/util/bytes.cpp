@@ -1,6 +1,7 @@
 #include "h2priv/util/bytes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -73,13 +74,6 @@ void ByteWriter::u24(std::uint32_t v) {
   len_ += 3;
 }
 
-void ByteWriter::u64(std::uint64_t v) {
-  ensure(8);
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    data_[len_++] = static_cast<std::uint8_t>(v >> shift);
-  }
-}
-
 void ByteWriter::bytes(std::string_view v) {
   ensure(v.size());
   if (!v.empty()) std::memcpy(data_ + len_, v.data(), v.size());
@@ -92,28 +86,14 @@ void ByteWriter::fill(std::size_t n, std::uint8_t fill_byte) {
   len_ += n;
 }
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw OutOfBounds("ByteReader: need " + std::to_string(n) + " bytes, have " +
-                      std::to_string(remaining()));
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  require(1);
-  return data_[pos_++];
+void detail::throw_out_of_bounds(std::size_t need, std::size_t have) {
+  throw OutOfBounds("ByteReader: need " + std::to_string(need) + " bytes, have " +
+                    std::to_string(have));
 }
 
 std::uint8_t ByteReader::peek_u8() const {
   require(1);
   return data_[pos_];
-}
-
-std::uint16_t ByteReader::u16() {
-  require(2);
-  const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
 }
 
 std::uint32_t ByteReader::u24() {
@@ -122,29 +102,6 @@ std::uint32_t ByteReader::u24() {
                           (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
                           static_cast<std::uint32_t>(data_[pos_ + 2]);
   pos_ += 3;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-BytesView ByteReader::bytes(std::size_t n) {
-  require(n);
-  const BytesView v = data_.subspan(pos_, n);
-  pos_ += n;
   return v;
 }
 
@@ -159,6 +116,21 @@ void ByteReader::skip(std::size_t n) {
   pos_ += n;
 }
 
+Bytes Pieces::joined() const {
+  Bytes out;
+  out.reserve(size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  out.resize(out.size() + zeros, 0);
+  return out;
+}
+
+BytesView zero_bytes(std::size_t n) {
+  static constexpr std::array<std::uint8_t, kZeroPageBytes> kZeroPage{};
+  if (n > kZeroPageBytes) throw std::length_error("zero_bytes: run above one page");
+  return {kZeroPage.data(), n};
+}
+
 Bytes to_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
@@ -170,14 +142,24 @@ Bytes patterned_bytes(std::size_t n, std::uint32_t tag) {
   // splitmix-style mixing keeps the pattern cheap yet position-sensitive, so
   // any reordering or truncation in transit changes the reassembled payload.
   // Each step yields eight bytes: byte i is byte (i % 8) of step i / 8.
+  // Whole words are stored with a fixed-size copy; the tail once, after.
   std::uint64_t state = 0x9e3779b97f4a7c15ull ^ tag;
-  for (std::size_t i = 0; i < n; i += 8) {
+  const auto next = [&state] {
     state += 0x9e3779b97f4a7c15ull;
     std::uint64_t z = state;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    std::memcpy(out.data() + i, &z, std::min<std::size_t>(8, n - i));
+    return z ^ (z >> 31);
+  };
+  std::uint8_t* const p = out.data();
+  const std::size_t whole = n / 8 * 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    const std::uint64_t z = next();
+    std::memcpy(p + i, &z, 8);
+  }
+  if (whole < n) {
+    const std::uint64_t z = next();
+    std::memcpy(p + whole, &z, n - whole);
   }
   return out;
 }

@@ -54,11 +54,13 @@ void release_chunk(ChunkHeader* h) noexcept;
 class BufferPool {
  public:
   /// Class sizes cover the wire path: TCP headers and ACKs (64), control
-  /// frames (256), MTU-sized segments (2048), and a full 16 KiB TLS record
-  /// plus framing (17408). Requests above the largest class fall back to
-  /// plain heap chunks that are freed, not recycled.
-  static constexpr std::array<std::uint32_t, 6> kClassSizes = {64,   256,  1024,
-                                                               2048, 4096, 17408};
+  /// frames (256), MTU-sized segments (2048), reassembly pages (4096), a
+  /// sealed 4 KiB body chunk (8192; tcp::SendBuffer holds these until they
+  /// are acknowledged, so they should not take a 17 KiB chunk each) and a
+  /// full 16 KiB TLS record plus framing (17408). Requests above the largest
+  /// class fall back to plain heap chunks that are freed, not recycled.
+  static constexpr std::array<std::uint32_t, 7> kClassSizes = {
+      64, 256, 1024, 2048, 4096, 8192, 17408};
 
   struct Stats {
     std::uint64_t served = 0;    ///< chunks handed out

@@ -1,11 +1,11 @@
-// FIFO byte queue over contiguous storage — the pattern behind both the
-// h2 per-stream pending-body queue and (with stream offsets layered on
-// top) tcp::SendBuffer. A dead-byte prefix makes pop() O(1); append()
-// reclaims the prefix by sliding the live bytes down once the prefix is at
-// least as large as the live region, so each byte is moved at most once
-// per time it is popped (amortized O(1)). Contiguity is the point:
-// front() hands out a zero-copy view that encoders can write straight to
-// the wire, where std::deque<uint8_t> forced a gather-copy per frame.
+// FIFO byte queue over contiguous storage — the h2 per-stream queue of
+// body bytes that flow control holds back. A dead-byte prefix makes pop()
+// O(1); append() reclaims the prefix by sliding the live bytes down once
+// the prefix is at least as large as the live region, so each byte is
+// moved at most once per time it is popped (amortized O(1)). Contiguity is
+// the point: front() hands out a zero-copy view that encoders can write
+// straight to the wire, where std::deque<uint8_t> forced a gather-copy per
+// frame.
 #pragma once
 
 #include <algorithm>

@@ -6,6 +6,7 @@
 // these two types so that framing bugs surface as exceptions, not UB.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -31,6 +32,13 @@ class OutOfBounds : public std::runtime_error {
  public:
   explicit OutOfBounds(const std::string& what) : std::runtime_error(what) {}
 };
+
+namespace detail {
+static_assert(std::endian::native == std::endian::little,
+              "the big-endian accessors byte-swap native little-endian words");
+/// Throws OutOfBounds for a read of `need` bytes with `have` left (cold).
+[[noreturn]] void throw_out_of_bounds(std::size_t need, std::size_t have);
+}  // namespace detail
 
 /// Appends big-endian scalars and byte runs to an owned buffer.
 ///
@@ -61,13 +69,16 @@ class ByteWriter {
   void u24(std::uint32_t v);  ///< low 24 bits; throws std::invalid_argument if v >= 2^24
   void u32(std::uint32_t v) {
     ensure(4);
-    for (int i = 0; i < 4; ++i) {
-      data_[len_ + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (24 - 8 * i));
-    }
+    const std::uint32_t be = __builtin_bswap32(v);
+    std::memcpy(data_ + len_, &be, 4);
     len_ += 4;
   }
-  void u64(std::uint64_t v);
+  void u64(std::uint64_t v) {
+    ensure(8);
+    const std::uint64_t be = __builtin_bswap64(v);
+    std::memcpy(data_ + len_, &be, 8);
+    len_ += 8;
+  }
   void bytes(BytesView v) {
     ensure(v.size());
     if (!v.empty()) std::memcpy(data_ + len_, v.data(), v.size());
@@ -118,14 +129,42 @@ class ByteReader {
  public:
   explicit ByteReader(BytesView data) noexcept : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
+  // The fixed-width reads are inline: one bounds check, then one
+  // fixed-size load, byte-swapped from big-endian.
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
   /// Reads the next byte without consuming it.
   [[nodiscard]] std::uint8_t peek_u8() const;
-  [[nodiscard]] std::uint16_t u16();
+  [[nodiscard]] std::uint16_t u16() {
+    require(2);
+    std::uint16_t v = 0;
+    std::memcpy(&v, data_.data() + pos_, 2);
+    pos_ += 2;
+    return __builtin_bswap16(v);
+  }
   [[nodiscard]] std::uint32_t u24();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] BytesView bytes(std::size_t n);
+  [[nodiscard]] std::uint32_t u32() {
+    require(4);
+    std::uint32_t v = 0;
+    std::memcpy(&v, data_.data() + pos_, 4);
+    pos_ += 4;
+    return __builtin_bswap32(v);
+  }
+  [[nodiscard]] std::uint64_t u64() {
+    require(8);
+    std::uint64_t v = 0;
+    std::memcpy(&v, data_.data() + pos_, 8);
+    pos_ += 8;
+    return __builtin_bswap64(v);
+  }
+  [[nodiscard]] BytesView bytes(std::size_t n) {
+    require(n);
+    const BytesView v(data_.data() + pos_, n);
+    pos_ += n;
+    return v;
+  }
   /// Returns everything not yet consumed and advances to the end.
   [[nodiscard]] BytesView rest() noexcept;
 
@@ -135,10 +174,35 @@ class ByteReader {
   void skip(std::size_t n);
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) [[unlikely]] detail::throw_out_of_bounds(n, remaining());
+  }
   BytesView data_;
   std::size_t pos_ = 0;
 };
+
+/// One write handed down in pieces instead of joined: header bytes, a
+/// borrowed payload view, then `zeros` zero bytes (at most kZeroPageBytes).
+/// h2::Connection hands each frame to its byte sink this way and the TLS
+/// sealer reads the pieces where they lie, so a frame's payload is never
+/// copied just to sit behind its header.
+struct Pieces {
+  BytesView head{};
+  BytesView payload{};
+  std::size_t zeros = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return head.size() + payload.size() + zeros;
+  }
+  /// The joined bytes (tests and cold callers).
+  [[nodiscard]] Bytes joined() const;
+};
+
+inline constexpr std::size_t kZeroPageBytes = 16 * 1024;
+
+/// A view of `n` zero bytes from one static page, so runs of zeros can be
+/// read like any other bytes. Throws std::length_error if n > kZeroPageBytes.
+[[nodiscard]] BytesView zero_bytes(std::size_t n);
 
 /// Builds a Bytes from a string literal / string_view (ASCII payloads in tests).
 [[nodiscard]] Bytes to_bytes(std::string_view s);

@@ -5,6 +5,7 @@
 // replay fidelity, and the evaluation grid's jobs-invariance contract.
 #include "h2priv/defense/defense.hpp"
 
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -24,10 +25,18 @@ namespace {
 
 // --- h2 PADDING edge cases (RFC 7540 §6.1) ---------------------------------
 
-// The frames one decode() call completes, in order.
+// The frames one decode() call completes, in order. A DataFrame's payload
+// view is valid only inside on_frame, so frames that outlive the call point
+// at a copy kept here for the rest of the test run.
 std::vector<h2::Frame> decode_all(h2::FrameDecoder& dec, util::BytesView wire) {
+  static std::deque<util::Bytes> kept;
   std::vector<h2::Frame> frames;
-  dec.decode(wire, [&](h2::Frame&& f) { frames.push_back(std::move(f)); });
+  dec.decode(wire, [&](h2::Frame&& f) {
+    if (auto* data = std::get_if<h2::DataFrame>(&f)) {
+      data->data = kept.emplace_back(data->data.begin(), data->data.end());
+    }
+    frames.push_back(std::move(f));
+  });
   return frames;
 }
 
@@ -57,14 +66,15 @@ TEST(DefensePadding, PaddedFlagWithZeroPadLength) {
   const auto frames = decode_all(dec, raw_frame(11, h2::kFlagPadded, payload));
   ASSERT_EQ(frames.size(), 1u);
   const auto& data = std::get<h2::DataFrame>(frames[0]);
-  EXPECT_EQ(data.data, body);
+  EXPECT_EQ(util::Bytes(data.data.begin(), data.data.end()), body);
   EXPECT_EQ(data.pad_length, 0);
 }
 
 TEST(DefensePadding, MaxPadRoundTrip) {
+  const util::Bytes body = util::patterned_bytes(64, 2);
   h2::DataFrame f;
   f.stream_id = 1;
-  f.data = util::patterned_bytes(64, 2);
+  f.data = body;
   f.pad_length = 255;
   const util::Bytes wire = h2::encode_frame(f);
   EXPECT_EQ(wire.size(), h2::kFrameHeaderBytes + 1 + 64 + 255);
@@ -72,7 +82,7 @@ TEST(DefensePadding, MaxPadRoundTrip) {
   const auto frames = decode_all(dec, wire);
   ASSERT_EQ(frames.size(), 1u);
   const auto& data = std::get<h2::DataFrame>(frames[0]);
-  EXPECT_EQ(data.data, f.data);
+  EXPECT_EQ(util::Bytes(data.data.begin(), data.data.end()), body);
   EXPECT_EQ(data.pad_length, 255);
 }
 
@@ -121,15 +131,17 @@ struct ConnPair {
   explicit ConnPair(h2::ConnectionConfig client_cfg = {},
                     h2::ConnectionConfig server_cfg = {}) {
     client = std::make_unique<h2::Connection>(
-        h2::Role::kClient, client_cfg, [this](util::BytesView b) {
-          to_server.emplace_back(b.begin(), b.end());
+        h2::Role::kClient, client_cfg, [this](const util::Pieces& frame) {
+          const util::Bytes b = frame.joined();
+          to_server.emplace_back(b);
           const h2::WireSpan span{client_offset, client_offset + b.size()};
           client_offset += b.size();
           return span;
         });
     server = std::make_unique<h2::Connection>(
-        h2::Role::kServer, server_cfg, [this](util::BytesView b) {
-          to_client.emplace_back(b.begin(), b.end());
+        h2::Role::kServer, server_cfg, [this](const util::Pieces& frame) {
+          const util::Bytes b = frame.joined();
+          to_client.emplace_back(b);
           server_wire_bytes += b.size();
           const h2::WireSpan span{server_offset, server_offset + b.size()};
           server_offset += b.size();

@@ -3,6 +3,7 @@
 #include "h2priv/h2/connection.hpp"
 
 #include <deque>
+#include <string>
 
 #include "h2priv/sim/rng.hpp"
 
@@ -23,15 +24,17 @@ struct ConnPair {
 
   explicit ConnPair(ConnectionConfig client_cfg = {}, ConnectionConfig server_cfg = {}) {
     client = std::make_unique<Connection>(
-        Role::kClient, client_cfg, [this](util::BytesView b) {
-          to_server.emplace_back(b.begin(), b.end());
+        Role::kClient, client_cfg, [this](const util::Pieces& frame) {
+          const util::Bytes b = frame.joined();
+          to_server.emplace_back(b);
           const WireSpan span{client_offset, client_offset + b.size()};
           client_offset += b.size();
           return span;
         });
     server = std::make_unique<Connection>(
-        Role::kServer, server_cfg, [this](util::BytesView b) {
-          to_client.emplace_back(b.begin(), b.end());
+        Role::kServer, server_cfg, [this](const util::Pieces& frame) {
+          const util::Bytes b = frame.joined();
+          to_client.emplace_back(b);
           const WireSpan span{server_offset, server_offset + b.size()};
           server_offset += b.size();
           return span;
@@ -179,6 +182,55 @@ TEST(H2Connection, FlowControlBlocksUntilWindowUpdate) {
   pair.pump();  // window updates flow back and drain the rest
   EXPECT_EQ(body, util::patterned_bytes(50'000, 3));
   EXPECT_EQ(pair.server->blocked_stream_count(), 0u);
+}
+
+// send_data frames straight from the caller's view while the windows allow
+// and copies only the residue into the pending queue. The frames, their
+// wire spans and the on_stream_drained calls are pinned to what the sender
+// produced when it queued every byte first.
+TEST(H2Connection, WindowLimitedSendQueuesOnlyTheResidue) {
+  ConnectionConfig client_cfg;
+  client_cfg.local_settings.initial_window_size = 1'000;
+  ConnPair pair(client_cfg);
+  pair.start();
+  std::uint32_t stream = 0;
+  pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
+    stream = id;
+  };
+  (void)pair.client->send_request(get_request("/residue"));
+  pair.pump();
+  ASSERT_NE(stream, 0u);
+  std::string events;
+  pair.server->on_frame_sent = [&](std::uint32_t id, FrameType type, WireSpan span) {
+    events += std::string(to_string(type)) + " " + std::to_string(id) + " " +
+              std::to_string(span.begin) + "-" + std::to_string(span.end) + "; ";
+  };
+  pair.server->on_stream_drained = [&](std::uint32_t id) {
+    events += "drained " + std::to_string(id) + "; ";
+  };
+  util::Bytes got;
+  pair.client->on_data = [&](std::uint32_t, util::BytesView d, bool) {
+    got.insert(got.end(), d.begin(), d.end());
+  };
+  const util::Bytes body = util::patterned_bytes(2'500, 4);
+  pair.server->send_response_headers(stream, {{":status", "200"}});
+  pair.server->send_data(stream, util::BytesView(body).first(600), false);
+  EXPECT_EQ(pair.server->stream(stream).pending.size(), 0u);
+  // 400 bytes fit the window; the residue is copied, so the caller's buffer
+  // may change as soon as send_data returns.
+  util::Bytes caller(body.begin() + 600, body.begin() + 2'000);
+  pair.server->send_data(stream, caller, false);
+  std::fill(caller.begin(), caller.end(), std::uint8_t{0xee});
+  EXPECT_EQ(pair.server->stream(stream).pending.size(), 1'000u);
+  // With bytes queued, a later write queues behind them.
+  pair.server->send_data(stream, util::BytesView(body).subspan(2'000), true);
+  EXPECT_EQ(pair.server->stream(stream).pending.size(), 1'500u);
+  pair.pump();
+  EXPECT_EQ(got, body);
+  EXPECT_EQ(pair.server->blocked_stream_count(), 0u);
+  EXPECT_EQ(events,
+            "HEADERS 1 54-67; DATA 1 67-676; drained 1; DATA 1 676-1085; "
+            "DATA 1 1085-1694; DATA 1 1694-2603; drained 1; ");
 }
 
 TEST(H2Connection, ConnectionWindowExtraIsGranted) {

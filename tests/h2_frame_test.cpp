@@ -1,5 +1,6 @@
 #include "h2priv/h2/frame.hpp"
 
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,10 +12,22 @@
 namespace h2priv::h2 {
 namespace {
 
+// A DataFrame's payload view is valid only inside on_frame; frames that
+// outlive the call point at a copy kept here for the rest of the test run.
+util::BytesView keep(util::BytesView v) {
+  static std::deque<util::Bytes> kept;
+  return kept.emplace_back(v.begin(), v.end());
+}
+
+util::Bytes owned(util::BytesView v) { return {v.begin(), v.end()}; }
+
 // The frames one decode() call completes, in order.
 std::vector<Frame> decode_all(FrameDecoder& dec, util::BytesView wire) {
   std::vector<Frame> frames;
-  dec.decode(wire, [&](Frame&& f) { frames.push_back(std::move(f)); });
+  dec.decode(wire, [&](Frame&& f) {
+    if (auto* data = std::get_if<DataFrame>(&f)) data->data = keep(data->data);
+    frames.push_back(std::move(f));
+  });
   return frames;
 }
 
@@ -28,25 +41,27 @@ T round_trip(const T& frame) {
 }
 
 TEST(H2Frame, DataRoundTrip) {
+  const util::Bytes body = util::patterned_bytes(1'000, 1);
   DataFrame f;
   f.stream_id = 5;
-  f.data = util::patterned_bytes(1'000, 1);
+  f.data = body;
   f.end_stream = true;
   const DataFrame d = round_trip(f);
   EXPECT_EQ(d.stream_id, 5u);
-  EXPECT_EQ(d.data, f.data);
+  EXPECT_EQ(owned(d.data), body);
   EXPECT_TRUE(d.end_stream);
 }
 
 TEST(H2Frame, DataWithPadding) {
+  const util::Bytes body = util::patterned_bytes(100, 2);
   DataFrame f;
   f.stream_id = 3;
-  f.data = util::patterned_bytes(100, 2);
+  f.data = body;
   f.pad_length = 37;
   const util::Bytes wire = encode_frame(f);
   EXPECT_EQ(wire.size(), kFrameHeaderBytes + 1 + 100 + 37);
   const DataFrame d = round_trip(f);
-  EXPECT_EQ(d.data, f.data);
+  EXPECT_EQ(owned(d.data), body);
   EXPECT_EQ(d.pad_length, 37);
 }
 
@@ -166,17 +181,19 @@ TEST(H2Frame, ContinuationRoundTrip) {
 
 TEST(H2Frame, WireFormatMatchesRfcLayout) {
   // DATA, stream 1, END_STREAM, 3 payload bytes.
+  const util::Bytes body = {0xaa, 0xbb, 0xcc};
   DataFrame f;
   f.stream_id = 1;
   f.end_stream = true;
-  f.data = {0xaa, 0xbb, 0xcc};
+  f.data = body;
   EXPECT_EQ(util::to_hex(encode_frame(f)), "000003000100000001aabbcc");
 }
 
 TEST(H2FrameDecoder, HandlesArbitraryChunking) {
+  const util::Bytes body = util::patterned_bytes(300, 7);
   DataFrame f;
   f.stream_id = 1;
-  f.data = util::patterned_bytes(300, 7);
+  f.data = body;
   const util::Bytes wire = encode_frame(f);
   FrameDecoder dec;
   // Feed one byte at a time.
@@ -185,7 +202,7 @@ TEST(H2FrameDecoder, HandlesArbitraryChunking) {
   }
   const auto out = decode_all(dec, util::BytesView(wire.data() + wire.size() - 1, 1));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(std::get<DataFrame>(out[0]).data, f.data);
+  EXPECT_EQ(owned(std::get<DataFrame>(out[0]).data), body);
 }
 
 TEST(H2FrameDecoder, MultipleFramesInOneFeed) {
@@ -287,9 +304,11 @@ Decoded decode_in_pieces(util::BytesView wire, std::size_t piece) {
 
 util::Bytes mixed_frame_stream() {
   std::vector<Frame> frames;
+  const util::Bytes padded_body = util::patterned_bytes(1'000, 3);
+  const util::Bytes big_body = util::patterned_bytes(kDefaultMaxFrameSize, 6);
   DataFrame padded;
   padded.stream_id = 1;
-  padded.data = util::patterned_bytes(1'000, 3);
+  padded.data = padded_body;
   padded.pad_length = 17;
   frames.emplace_back(padded);
   HeadersFrame h;
@@ -309,7 +328,7 @@ util::Bytes mixed_frame_stream() {
   frames.emplace_back(WindowUpdateFrame{0, 4'096});
   DataFrame big;
   big.stream_id = 5;
-  big.data = util::patterned_bytes(kDefaultMaxFrameSize, 6);
+  big.data = big_body;
   big.end_stream = true;
   frames.emplace_back(big);
   frames.emplace_back(DataFrame{7, {}, true, 0});

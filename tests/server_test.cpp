@@ -32,7 +32,7 @@ struct ServerFixture {
         h2::Role::kClient,
         h2::ConnectionConfig{.local_settings = {.initial_window_size = 1 << 20},
                              .connection_window_extra = 1 << 22},
-        [this](util::BytesView b) {
+        [this](const util::Pieces& b) {
           const tls::WireRange r = stack.client_tls->send_app(b);
           return h2::WireSpan{r.begin, r.end};
         });
@@ -236,7 +236,7 @@ TEST(H2Server, PushRespectsClientDisable) {
   client_cfg.local_settings.enable_push = false;
   client_cfg.local_settings.initial_window_size = 1 << 20;
   f.client = std::make_unique<h2::Connection>(
-      h2::Role::kClient, client_cfg, [&f](util::BytesView b) {
+      h2::Role::kClient, client_cfg, [&f](const util::Pieces& b) {
         const tls::WireRange r = f.stack.client_tls->send_app(b);
         return h2::WireSpan{r.begin, r.end};
       });

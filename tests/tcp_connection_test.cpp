@@ -53,7 +53,8 @@ TEST(TcpConnection, LargeTransferSpansManySegments) {
       const auto cap = static_cast<std::size_t>(pair.client->send_capacity());
       if (cap == 0) break;
       const std::size_t n = std::min(cap, payload.size() - sent);
-      pair.client->send(util::BytesView(payload.data() + sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
       sent += n;
     }
   };
@@ -107,7 +108,8 @@ TEST(TcpConnection, RecoversFromLossWithFastRetransmit) {
       const auto cap = static_cast<std::size_t>(pair.client->send_capacity());
       if (cap == 0) break;
       const std::size_t n = std::min(cap, payload.size() - sent);
-      pair.client->send(util::BytesView(payload.data() + sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
       sent += n;
     }
   };
@@ -255,7 +257,8 @@ TEST(TcpConnection, DupAckCountingAtSender) {
       const auto cap = static_cast<std::size_t>(pair.client->send_capacity());
       if (cap == 0) break;
       const std::size_t n = std::min(cap, payload.size() - sent);
-      pair.client->send(util::BytesView(payload.data() + sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
       sent += n;
     }
   };

@@ -83,7 +83,8 @@ TEST(TcpDelayedAck, HalvesAckVolumeOnBulkTransfer) {
         const std::size_t n = std::min<std::size_t>(
             static_cast<std::size_t>(pair.client->send_capacity()),
             payload.size() - sent);
-        pair.client->send(util::BytesView(payload.data() + sent, n));
+        pair.client->send(
+            util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
         sent += n;
       }
     };
@@ -115,7 +116,8 @@ TEST(TcpDelayedAck, OutOfOrderDataStillAckedImmediately) {
     while (sent < payload.size() && pair.client->send_capacity() > 0) {
       const std::size_t n = std::min<std::size_t>(
           static_cast<std::size_t>(pair.client->send_capacity()), payload.size() - sent);
-      pair.client->send(util::BytesView(payload.data() + sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
       sent += n;
     }
   };

@@ -49,7 +49,8 @@ TEST_P(TcpReliability, DeliversExactBytesBothWays) {
     while (up_sent < up.size() && pair.client->send_capacity() > 0) {
       const std::size_t n = std::min<std::size_t>(
           static_cast<std::size_t>(pair.client->send_capacity()), up.size() - up_sent);
-      pair.client->send(util::BytesView(up.data() + up_sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(up.data() + up_sent, n)));
       up_sent += n;
     }
   };
@@ -58,7 +59,8 @@ TEST_P(TcpReliability, DeliversExactBytesBothWays) {
       const std::size_t n = std::min<std::size_t>(
           static_cast<std::size_t>(pair.server->send_capacity()),
           down.size() - down_sent);
-      pair.server->send(util::BytesView(down.data() + down_sent, n));
+      pair.server->send(
+          util::SharedBytes::copy_of(util::BytesView(down.data() + down_sent, n)));
       down_sent += n;
     }
   };
@@ -100,7 +102,8 @@ TEST_P(TcpSeedSweep, ModerateLossNeverCorruptsStream) {
     while (sent < payload.size() && pair.client->send_capacity() > 0) {
       const std::size_t n = std::min<std::size_t>(
           static_cast<std::size_t>(pair.client->send_capacity()), payload.size() - sent);
-      pair.client->send(util::BytesView(payload.data() + sent, n));
+      pair.client->send(
+          util::SharedBytes::copy_of(util::BytesView(payload.data() + sent, n)));
       sent += n;
     }
   };

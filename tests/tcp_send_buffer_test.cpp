@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
+#include <vector>
 
 namespace h2priv::tcp {
 namespace {
@@ -69,21 +71,79 @@ TEST(SendBuffer, DuplicateAckIsIgnored) {
   EXPECT_EQ(buf.acked(), 5u);
 }
 
-TEST(SendBuffer, ReadViewAliasesStorageAndSurvivesAck) {
+TEST(SendBuffer, HoldsWritesByReferenceUntilWhollyAcked) {
   SendBuffer buf;
-  const util::Bytes a = util::patterned_bytes(200, 9);
+  const util::SharedBytes a =
+      util::SharedBytes::copy_of(util::patterned_bytes(200, 9), &util::default_pool());
   buf.append(a);
-  const util::BytesView v = buf.read_view(50, 100);
-  ASSERT_EQ(v.size(), 100u);
-  EXPECT_TRUE(std::equal(v.begin(), v.end(), a.begin() + 50));
-  // ack() only advances the dead prefix — the view stays valid.
+  EXPECT_EQ(a.ref_count(), 2u);  // held, not copied
+  // A partly acknowledged write stays held and readable above the ack.
   buf.ack(150);
-  EXPECT_TRUE(std::equal(v.begin(), v.end(), a.begin() + 50));
-  // And a fresh view at the same offset points into the same storage.
-  EXPECT_EQ(buf.read_view(150, 10).data(), v.data() + 100);
+  EXPECT_EQ(a.ref_count(), 2u);
+  const util::Bytes tail = buf.read(150, 100);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), a.begin() + 150));
+  buf.ack(200);
+  EXPECT_EQ(a.ref_count(), 1u);
+  EXPECT_EQ(buf.writes_held(), 0u);
 }
 
-// Property test: the ring/compacting implementation must be observationally
+TEST(SendBuffer, ReadsSpanWrites) {
+  SendBuffer buf;
+  util::Bytes joined;
+  for (const std::size_t n : {std::size_t{7}, std::size_t{1}, std::size_t{300},
+                              std::size_t{2}, std::size_t{40}}) {
+    const util::Bytes w = util::patterned_bytes(n, static_cast<std::uint32_t>(n));
+    buf.append(w);
+    joined.insert(joined.end(), w.begin(), w.end());
+  }
+  EXPECT_EQ(buf.writes_held(), 5u);
+  for (std::size_t off = 0; off < joined.size(); off += 3) {
+    for (const std::size_t len : {std::size_t{1}, std::size_t{9}, std::size_t{305}}) {
+      const util::Bytes got = buf.read(off, len);
+      ASSERT_EQ(got.size(), std::min(len, joined.size() - off));
+      ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                             joined.begin() + static_cast<std::ptrdiff_t>(off)))
+          << off << "+" << len;
+    }
+  }
+  std::vector<std::uint8_t> dst(joined.size());
+  buf.copy_out(0, dst.size(), dst.data());
+  EXPECT_EQ(dst, joined);
+  EXPECT_THROW(buf.copy_out(5, joined.size(), dst.data()), std::out_of_range);
+}
+
+TEST(SendBuffer, AckReleasesWholeWritesOnly) {
+  SendBuffer buf;
+  buf.append(util::patterned_bytes(10, 1));   // [0, 10)
+  buf.append(util::patterned_bytes(10, 2));   // [10, 20)
+  buf.append(util::patterned_bytes(10, 3));   // [20, 30)
+  buf.ack(9);
+  EXPECT_EQ(buf.writes_held(), 3u);
+  buf.ack(10);
+  EXPECT_EQ(buf.writes_held(), 2u);
+  buf.ack(29);
+  EXPECT_EQ(buf.writes_held(), 1u);
+  EXPECT_EQ(buf.read(29, 5), util::Bytes{util::patterned_bytes(10, 3).back()});
+  buf.ack(30);
+  EXPECT_EQ(buf.writes_held(), 0u);
+  EXPECT_EQ(buf.outstanding(), 0u);
+  EXPECT_EQ(buf.append(util::Bytes{}), 30u);  // an empty write is not kept
+  EXPECT_EQ(buf.writes_held(), 0u);
+}
+
+TEST(SendBuffer, ReadBelowWatermarkInsideHeldWriteThrows) {
+  SendBuffer buf;
+  buf.append(util::patterned_bytes(100, 3));
+  buf.append(util::patterned_bytes(100, 4));
+  buf.ack(150);  // the second write is held, but its first half is acked
+  EXPECT_EQ(buf.writes_held(), 1u);
+  EXPECT_THROW((void)buf.read(120, 1), std::out_of_range);
+  std::uint8_t byte = 0;
+  EXPECT_THROW(buf.copy_out(149, 1, &byte), std::out_of_range);
+  EXPECT_NO_THROW(buf.copy_out(150, 1, &byte));
+}
+
+// Property test: the write-holding implementation must be observationally
 // identical to the old std::deque<uint8_t> implementation under arbitrary
 // interleavings of append / read / ack. The reference model below IS that
 // old implementation (deque + erase-prefix on ack).
@@ -110,7 +170,7 @@ TEST(SendBuffer, RandomOpsMatchDequeReferenceModel) {
           if (ref.q.empty()) break;
           const std::uint64_t off = ref.base + rng() % ref.q.size();
           const std::size_t len = 1 + rng() % 2'000;
-          const util::BytesView got = buf.read_view(off, len);
+          const util::Bytes got = buf.read(off, len);
           const std::size_t avail = ref.q.size() - (off - ref.base);
           ASSERT_EQ(got.size(), std::min(len, avail));
           for (std::size_t i = 0; i < got.size(); ++i) {
