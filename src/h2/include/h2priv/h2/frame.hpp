@@ -80,7 +80,7 @@ struct DataFrame {
   std::uint32_t stream_id = 0;
   /// Borrowed payload. A decoded frame's view points into the bytes handed
   /// to FrameDecoder::decode and is valid only inside the on_frame call; a
-  /// frame built for encoding points at a buffer its builder keeps alive.
+  /// frame built for encoding points at a buffer its caller keeps alive.
   util::BytesView data;
   bool end_stream = false;
   std::uint8_t pad_length = 0;  ///< padding bytes appended on the wire
