@@ -1,5 +1,7 @@
 #include "h2priv/h2/frame.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "h2priv/util/narrow.hpp"
@@ -44,15 +46,31 @@ const char* to_string(ErrorCode e) noexcept {
 
 namespace {
 
+/// Fills `out` with the 9-byte frame header: u24 length, type, flags and
+/// the stream id with its reserved bit cleared.
+void fill_header(std::span<std::uint8_t, kFrameHeaderBytes> out, std::uint32_t length,
+                 FrameType type, std::uint8_t flags, std::uint32_t stream_id) {
+  if (length >= (1u << 24)) throw std::invalid_argument("u24 value out of range");
+  const std::uint32_t id = stream_id & kMaxStreamId;
+  out[0] = static_cast<std::uint8_t>(length >> 16);
+  out[1] = static_cast<std::uint8_t>(length >> 8);
+  out[2] = static_cast<std::uint8_t>(length);
+  out[3] = static_cast<std::uint8_t>(type);
+  out[4] = flags;
+  out[5] = static_cast<std::uint8_t>(id >> 24);
+  out[6] = static_cast<std::uint8_t>(id >> 16);
+  out[7] = static_cast<std::uint8_t>(id >> 8);
+  out[8] = static_cast<std::uint8_t>(id);
+}
+
 void write_header(util::ByteWriter& w, std::uint32_t length, FrameType type,
                   std::uint8_t flags, std::uint32_t stream_id) {
+  std::array<std::uint8_t, kFrameHeaderBytes> head;
+  fill_header(head, length, type, flags, stream_id);
   // Every encoder computes its exact payload length before writing, so one
   // reservation here sizes the whole frame — no growth mid-encode.
   w.reserve(kFrameHeaderBytes + length);
-  w.u24(length);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(flags);
-  w.u32(stream_id & kMaxStreamId);
+  w.bytes(util::BytesView(head.data(), head.size()));
 }
 
 FrameHeader read_header(util::ByteReader& r) {
@@ -76,19 +94,10 @@ DataHead data_frame_head(std::uint32_t stream_id, std::size_t payload_len,
     flags |= kFlagPadded;
     length += 1u + pad_length;
   }
-  if (length >= (1u << 24)) throw std::invalid_argument("u24 value out of range");
   DataHead head;
-  const std::uint32_t id = stream_id & kMaxStreamId;
-  head.bytes = {static_cast<std::uint8_t>(length >> 16),
-                static_cast<std::uint8_t>(length >> 8),
-                static_cast<std::uint8_t>(length),
-                static_cast<std::uint8_t>(FrameType::kData),
-                flags,
-                static_cast<std::uint8_t>(id >> 24),
-                static_cast<std::uint8_t>(id >> 16),
-                static_cast<std::uint8_t>(id >> 8),
-                static_cast<std::uint8_t>(id),
-                pad_length};
+  fill_header(std::span(head.bytes).first<kFrameHeaderBytes>(), length, FrameType::kData,
+              flags, stream_id);
+  head.bytes[kFrameHeaderBytes] = pad_length;
   head.size = kFrameHeaderBytes + (pad_length > 0 ? 1 : 0);
   return head;
 }

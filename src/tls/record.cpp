@@ -162,6 +162,16 @@ class PieceCursor {
   std::size_t next_ = 0;
 };
 
+/// crypt_words for sealing, kept out of line so the word loop has the
+/// registers to itself: inlined into seal_parts, whose piece state is live
+/// across it, gcc reloads the multiplier constants on every word.
+[[gnu::noinline]] std::uint64_t seal_words(std::uint64_t base, std::uint64_t first,
+                                           std::uint64_t h, const std::uint8_t* src,
+                                           std::uint8_t* dst,
+                                           std::size_t words) noexcept {
+  return crypt_words(base, first, h, src, dst, words, false);
+}
+
 /// Seals one record body whose plaintext is the concatenation of `parts`
 /// into `out`; returns the checksum folded from `h`. Whole words run
 /// straight from each part through crypt_words; only a word that straddles
@@ -179,7 +189,7 @@ std::uint64_t seal_parts(std::uint64_t base, std::uint64_t h,
   while (advance()) {
     if (cur.size() >= 8) {
       const std::size_t words = cur.size() / 8;
-      h = crypt_words(base, pos / 8, h, cur.data(), out + pos, words, false);
+      h = seal_words(base, pos / 8, h, cur.data(), out + pos, words);
       pos += 8 * words;
       cur = cur.subspan(8 * words);
       continue;
@@ -193,7 +203,7 @@ std::uint64_t seal_parts(std::uint64_t base, std::uint64_t h,
       cur = cur.subspan(m);
     } while (have < 8 && advance());
     if (have == 8) {
-      h = crypt_words(base, pos / 8, h, word.data(), out + pos, 1, false);
+      h = seal_words(base, pos / 8, h, word.data(), out + pos, 1);
     } else {
       crypt_bytes(base, pos / 8, 0, word.data(), out + pos, have);
       h = fold_bytes(h, word.data(), have);

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """CPU sampler: a flat profile of where a command spends its CPU time.
 
-    tools/cpu_sampler/cpu_sampler.py [--top K] [--hz N] [--out DIR] -- CMD...
+    tools/cpu_sampler/cpu_sampler.py [--top K] [--out DIR] -- CMD...
 
 Builds the LD_PRELOAD shim (sampler.c, needs only gcc), runs CMD under it,
-resolves every sampled address with addr2line (binutils) and prints one line
-per function: its share of the samples, the sample count and the object it
-lives in. A sample in code the compiler inlined is charged to the outermost
-function of its inline chain, the function that was actually called. Code
-without debug information (libc, the allocator) is named by the symbol
-whose extent holds it, or by the libc entry point (memcpy, malloc, ...)
-the dynamic linker resolved to the code just below it; anything else is
+names every sampled address by the symbol whose extent holds it (nm,
+binutils) and prints one line per function: its share of the samples, the
+sample count and the object it lives in. A sample in code the compiler
+inlined is charged to the function it was inlined into, the outermost of
+its inline chain: the function that was actually called. In a stripped
+object (libc, the allocator) the dynamic symbols name the code, and the
+libc entry points (memcpy, malloc, ...) name the code the dynamic linker
+resolved them to, which has no symbol of its own; anything else is
 "(unnamed)".
 
 Examples:
@@ -30,6 +31,7 @@ import argparse
 import bisect
 import collections
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -78,34 +80,24 @@ def symbol_table(obj: str, entries: dict[int, str]) -> list[tuple[int, int | Non
 
 
 def resolve(obj: str, offs: list[str], entries: dict[int, str]) -> dict[str, str]:
-    """offset -> the outermost function of its inline chain."""
+    """offset -> the function whose symbol holds it.
+
+    Code the compiler inlined lies inside the symbol of the function it was
+    inlined into, so this is the outermost function of the inline chain.
+    Clones gcc splits off a function (f.cold, f.constprop.0) count as f.
+    """
     names = {o: "??" for o in offs}
     if obj == "?" or not os.path.exists(obj):
         return names
-    out = subprocess.run(["addr2line", "-a", "-i", "-f", "-C", "-e", obj, *offs],
-                         capture_output=True, text=True, check=True).stdout
-    at, chain = None, []
-    for line in out.splitlines() + ["0x"]:
-        if line.startswith("0x"):
-            # Lines alternate function, file:line, innermost first; with no
-            # line information addr2line only guesses the nearest symbol.
-            if at is not None and len(chain) >= 2 and not chain[-1].startswith("??"):
-                names[offs[at]] = strip_args(chain[-2])
-            at = 0 if at is None else at + 1
-            chain = []
+    table = symbol_table(obj, entries)
+    starts = [t[0] for t in table]
+    for o in offs:
+        off = int(o, 16)
+        i = bisect.bisect_right(starts, off) - 1
+        if i >= 0 and (table[i][1] is None or off < table[i][0] + table[i][1]):
+            names[o] = strip_args(table[i][2].split("@")[0].split(" [clone ")[0])
         else:
-            chain.append(line)
-    unknown = [o for o in offs if names[o] == "??"]
-    if unknown:
-        table = symbol_table(obj, entries)
-        starts = [t[0] for t in table]
-        for o in unknown:
-            off = int(o, 16)
-            i = bisect.bisect_right(starts, off) - 1
-            if i >= 0 and (table[i][1] is None or off < table[i][0] + table[i][1]):
-                names[o] = strip_args(table[i][2].split("@")[0])
-            else:
-                names[o] = "(unnamed)"
+            names[o] = "(unnamed)"
     return names
 
 
@@ -115,7 +107,6 @@ def main(argv: list[str]) -> int:
     split = argv.index("--")
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--top", type=int, default=25, help="functions to list")
-    ap.add_argument("--hz", type=int, default=1000, help="samples per CPU second")
     ap.add_argument("--out", default=None, help="directory for the shim and raw table")
     args = ap.parse_args(argv[:split])
     cmd = argv[split + 1:]
@@ -124,9 +115,11 @@ def main(argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lib = build_shim(out_dir)
     table = out_dir / "samples.tsv"
-    env = dict(os.environ, LD_PRELOAD=str(lib), CPU_SAMPLER_OUT=str(table),
-               CPU_SAMPLER_HZ=str(args.hz))
+    env = dict(os.environ, LD_PRELOAD=str(lib), CPU_SAMPLER_OUT=str(table))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         sys.exit(f"cpu_sampler: command exited with {proc.returncode}")
@@ -151,7 +144,10 @@ def main(argv: list[str]) -> int:
     if total == 0:
         sys.exit("cpu_sampler: no samples (the command used too little CPU)")
     print(f"cpu sampler: {' '.join(cmd)}")
-    print(f"{total} samples at {args.hz} Hz ({total / args.hz:.2f} s of CPU)")
+    # The timer asks for one sample per millisecond of CPU time, but the kernel
+    # delivers ITIMER_PROF on its scheduler tick (every 4 ms at CONFIG_HZ=250),
+    # so the command's CPU time comes from its rusage, not the sample count.
+    print(f"{total} samples over {cpu_s:.2f} s of CPU")
     print("by object: " + ", ".join(f"{o} {n / total:.1%}"
                                     for o, n in per_object.most_common()))
     print(f"{'self%':>6} {'samples':>8}  function [object]")

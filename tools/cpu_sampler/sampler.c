@@ -6,10 +6,12 @@
 // Every sample lands somewhere, libc and the allocator included, which is
 // what gprof's flat profile misses: it sees only code built with -pg.
 // Addresses are written as (object file, offset) so cpu_sampler.py can
-// resolve them with addr2line.
+// name them from the object's symbols.
 //
+// The timer asks for one sample every SAMPLE_INTERVAL_US of CPU time; the
+// kernel delivers it on its scheduler tick, so the rate is at most CONFIG_HZ.
 // Environment: CPU_SAMPLER_OUT names the output file (default
-// cpu_sampler.<pid>.tsv); CPU_SAMPLER_HZ the sampling rate (default 1000).
+// cpu_sampler.<pid>.tsv).
 // Output lines: samples  object  offset
 // plus, for libc entry points that have no symbol of their own once the
 // dynamic linker picks an implementation (memcpy and friends):
@@ -28,7 +30,8 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#define MAX_SAMPLES (1u << 20)  // later samples are counted as lost
+#define MAX_SAMPLES (1u << 20)   // later samples are counted as lost
+#define SAMPLE_INTERVAL_US 1000L  // one sample per millisecond of CPU time
 
 static uintptr_t samples[MAX_SAMPLES];
 static atomic_uint taken;
@@ -65,17 +68,13 @@ static void set_timer(long usec) {
 }
 
 __attribute__((constructor)) static void sampler_start(void) {
-  const char* hz_env = getenv("CPU_SAMPLER_HZ");
-  long hz = hz_env ? strtol(hz_env, NULL, 10) : 1000;
-  if (hz < 1) hz = 1;
-  if (hz > 10000) hz = 10000;
   struct sigaction sa;
   memset(&sa, 0, sizeof sa);
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   if (sigaction(SIGPROF, &sa, NULL) != 0) return;
-  set_timer(1000000 / hz);
+  set_timer(SAMPLE_INTERVAL_US);
 }
 
 static int by_address(const void* a, const void* b) {
