@@ -37,6 +37,8 @@ struct RecordObservation {
   [[nodiscard]] std::size_t plaintext_estimate() const noexcept {
     return ciphertext_len >= tls::kAeadOverhead ? ciphertext_len - tls::kAeadOverhead : 0;
   }
+
+  friend bool operator==(const RecordObservation&, const RecordObservation&) = default;
 };
 
 }  // namespace h2priv::analysis

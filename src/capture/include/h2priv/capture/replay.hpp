@@ -26,17 +26,21 @@
 // TraceError escapes: stored records that leave a gap in the stream (where
 // the scanner would read zeros as a header) are refused with it too.
 //
-// The scoring half (score_with_predictor / count_gets) is split out so the
-// corpus pipeline can score straight off stored record sections without any
-// reassembly at all — see score_stored().
+// Scoring and replay share one decode. decode_conn reads a trace's meta,
+// ground truth, record sections and stored summary once into a StoredConn
+// (demux_fleet yields one per fleet connection); score_conn runs
+// core::score_verdict straight over its stored records, no reassembly at
+// all, and replay() synthesizes the streams from the same stored records,
+// walks the packets through a fresh monitor and re-scores from the
+// monitor's own records, so the check stays independent of the scoring.
 #pragma once
 
-#include <span>
+#include <optional>
+#include <vector>
 
 #include "h2priv/capture/trace_format.hpp"
 #include "h2priv/capture/trace_view.hpp"
-#include "h2priv/core/monitor.hpp"
-#include "h2priv/core/predictor.hpp"
+#include "h2priv/core/experiment.hpp"
 
 namespace h2priv::capture {
 
@@ -49,40 +53,44 @@ struct ReplayResult {
   bool summary_matches = false;
 };
 
-/// Applies TrafficMonitor's GET filter (application-data records whose
-/// plaintext estimate lies in [min,max], after the setup skip) to a stored
-/// client->server record sequence. Equals the live monitor's get_count()
-/// whenever the stored records match what reassembly would recompute.
-[[nodiscard]] std::int64_t count_gets(
-    std::span<const analysis::RecordObservation> c2s_records,
-    const core::MonitorConfig& config = {});
+/// One connection's stored verdict inputs, each section decoded once; the
+/// records-direct score, the stored-summary check and replay all read these.
+struct StoredConn {
+  TraceMeta meta;
+  analysis::GroundTruth truth;
+  std::vector<analysis::RecordObservation> records_c2s;
+  std::vector<analysis::RecordObservation> records_s2c;
+  std::uint64_t packet_count = 0;
+  /// The live run's verdict, when the trace stores one.
+  std::optional<TraceSummary> summary;
+};
 
-/// The scoring step of core::run_once, recomputed offline: verdicts for the
-/// HTML and every emblem position, sequence recovery, and the per-position
-/// attack_success overwrite. Shared by full replay and records-direct
-/// corpus scoring.
-[[nodiscard]] TraceSummary score_with_predictor(const TraceMeta& meta,
-                                                const analysis::GroundTruth& truth,
-                                                const core::ObjectPredictor& predictor,
-                                                std::uint64_t monitor_packets,
-                                                std::int64_t monitor_gets);
+/// Decodes a single-connection trace's verdict inputs. Throws TraceError
+/// without ground truth.
+[[nodiscard]] StoredConn decode_conn(const TraceFile& trace);
 
-/// Records-direct scoring: no reassembly, no monitor — the predictor runs
-/// straight over the stored server->client record section and the GET count
-/// is recomputed from the stored client->server section. Produces the same
-/// TraceSummary as replay() for every trace whose stored records are
-/// faithful (which replay()'s records_match verifies). Requires ground
-/// truth. This is the corpus pipeline's fast path.
+/// Records-direct scoring: core::score_verdict over the stored record
+/// sections, with no reassembly and no monitor. Produces the same verdict
+/// as replay() for every trace whose stored records are faithful (which
+/// replay()'s records_match verifies). This is the corpus pipeline's fast
+/// path; `site` must be built with conn.meta.pad_sensitive_objects.
+[[nodiscard]] core::Verdict score_conn(const StoredConn& conn,
+                                       const web::IsideWithSite& site);
+
+/// decode_conn + score_conn of one trace.
 [[nodiscard]] TraceSummary score_stored(const TraceFile& trace);
 
-/// Full offline pipeline: feeds every stored packet through a fresh monitor
-/// (packet retention off, so memory stays bounded regardless of trace
-/// length), then scores with core::ObjectPredictor against the stored ground
-/// truth and metadata, mirroring core::run_once's scoring step. Requires
-/// ground truth and records sorted by stream offset (what TraceWriter
-/// emits); the stored summary, when present, is the fidelity cross-check.
-/// Throws TraceError if the trace's streams cannot be synthesized
-/// faithfully.
+/// Full offline pipeline: feeds every packet of `trace` through a fresh
+/// monitor (packet retention off, so memory stays bounded regardless of
+/// trace length) over streams synthesized from `stored`'s records, then
+/// re-scores from the monitor's own records with core::score_verdict.
+/// Requires records sorted by stream offset (what TraceWriter emits); the
+/// stored summary, when present, is the fidelity cross-check. Throws
+/// TraceError if the trace's streams cannot be synthesized faithfully.
+[[nodiscard]] ReplayResult replay(const TraceFile& trace, const StoredConn& stored,
+                                  const web::IsideWithSite& site);
+
+/// decode_conn + replay of one trace.
 [[nodiscard]] ReplayResult replay(const TraceFile& trace);
 
 /// One client connection demultiplexed out of a fleet trace. Observation
@@ -90,12 +98,11 @@ struct ReplayResult {
 /// `meta` is a synthesized single-connection view (client seed, party order
 /// and horizon from the kFleet entry), so every single-connection replay and
 /// scoring path applies to a demuxed connection unchanged.
-struct DemuxedConn {
-  TraceMeta meta;
+struct DemuxedConn : StoredConn {
+  /// The kFleet entry's provenance; its truth and summary are moved into the
+  /// StoredConn fields.
   FleetConn info;
   std::vector<analysis::PacketObservation> packets;
-  std::vector<analysis::RecordObservation> records_c2s;
-  std::vector<analysis::RecordObservation> records_s2c;
 };
 
 /// Splits a fleet trace into per-connection observation streams via the
@@ -104,9 +111,13 @@ struct DemuxedConn {
 /// disagreeing with the packet/record sections, ...).
 [[nodiscard]] std::vector<DemuxedConn> demux_fleet(const TraceFile& trace);
 
+/// replay() of one demultiplexed connection, walking its packets.
+[[nodiscard]] ReplayResult replay(const DemuxedConn& conn,
+                                  const web::IsideWithSite& site);
+
 /// Demultiplexes and replays every connection of a fleet trace, in
-/// connection-id order, each through the same engine as replay(); each
-/// connection's stored summary is its fidelity cross-check.
+/// connection-id order; each connection's stored summary is its fidelity
+/// cross-check.
 [[nodiscard]] std::vector<ReplayResult> replay_fleet(const TraceFile& trace);
 
 }  // namespace h2priv::capture

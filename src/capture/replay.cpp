@@ -1,10 +1,8 @@
 #include "h2priv/capture/replay.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "h2priv/core/experiment.hpp"
-#include "h2priv/obs/metrics.hpp"
 #include "h2priv/tls/record.hpp"
 
 namespace h2priv::capture {
@@ -114,55 +112,16 @@ class ChunkSynthesizer {
   std::uint64_t total_ = 0;     ///< stream extent of the packets seen so far
 };
 
-[[nodiscard]] bool same_records(const std::vector<analysis::RecordObservation>& a,
-                                const std::vector<analysis::RecordObservation>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].dir != b[i].dir || a[i].type != b[i].type ||
-        a[i].ciphertext_len != b[i].ciphertext_len ||
-        a[i].stream_offset != b[i].stream_offset) {
-      return false;
-    }
-  }
-  return true;
-}
-
-[[nodiscard]] ObjectVerdict score_object(const analysis::GroundTruth& truth,
-                                         const core::ObjectPredictor& predictor,
-                                         web::ObjectId id, const std::string& label,
-                                         std::size_t true_size,
-                                         util::TimePoint horizon) {
-  // Mirrors core::run_once's score_object lambda, including the DoM
-  // histogram sample, so replayed analysis metrics line up with live ones.
-  ObjectVerdict v;
-  v.label = label;
-  v.true_size = true_size;
-  const std::optional<double> dom = truth.object_dom(id);
-  v.has_dom = dom.has_value();
-  if (dom.has_value()) {
-    v.primary_dom = *dom;
-    obs::sample(obs::Hist::kH2ObjectDomMilli,
-                static_cast<std::uint64_t>(std::llround(*dom * 1000.0)));
-  }
-  v.serialized_primary = dom.has_value() && *dom == 0.0;
-  v.any_serialized_copy = truth.any_serialized_instance(id);
-  v.identified = predictor.find(label, horizon).has_value();
-  v.attack_success = v.any_serialized_copy && v.identified;
-  return v;
-}
-
 /// The replay engine: feeds every packet `walk` yields through a fresh
 /// monitor, in one pass, payloads synthesized per packet into one reusable
-/// scratch buffer, then checks the recomputed records against the stored
-/// ones and scores the result. `walk(fn)` calls fn once per packet in
-/// capture order.
+/// scratch buffer from the stored records, then checks the monitor's records
+/// against the stored ones and scores the monitor's own records. `walk(fn)`
+/// calls fn once per packet in capture order.
 template <typename Walk>
-[[nodiscard]] ReplayResult run_replay(
-    const TraceMeta& meta, const analysis::GroundTruth& truth,
-    const std::vector<analysis::RecordObservation>& c2s,
-    const std::vector<analysis::RecordObservation>& s2c,
-    const std::optional<TraceSummary>& stored_summary, const Walk& walk) {
-  std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(c2s), ChunkSynthesizer(s2c)};
+[[nodiscard]] ReplayResult run_replay(const StoredConn& stored,
+                                      const web::IsideWithSite& site, const Walk& walk) {
+  std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(stored.records_c2s),
+                                           ChunkSynthesizer(stored.records_s2c)};
   core::MonitorConfig config;
   config.retain_packets = false;  // O(1) packet memory
   core::TrafficMonitor monitor(config);
@@ -189,96 +148,41 @@ template <typename Walk>
   }
   for (const ChunkSynthesizer& s : synth) s.finish();
 
+  const auto& c2s = monitor.records(net::Direction::kClientToServer);
+  const auto& s2c = monitor.records(net::Direction::kServerToClient);
   ReplayResult result;
-  result.records_match =
-      same_records(monitor.records(net::Direction::kClientToServer), c2s) &&
-      same_records(monitor.records(net::Direction::kServerToClient), s2c);
-  const core::ObjectPredictor predictor(monitor, core::isidewith_catalog());
-  result.summary = score_with_predictor(meta, truth, predictor, monitor.packets_seen(),
-                                        monitor.get_count());
-  result.summary_matches =
-      stored_summary.has_value() && *stored_summary == result.summary;
+  result.records_match = c2s == stored.records_c2s && s2c == stored.records_s2c;
+  result.summary = core::score_verdict(site, stored.meta.party_order,
+                                       util::TimePoint{stored.meta.attack_horizon_ns},
+                                       stored.truth, c2s, s2c, monitor.packets_seen())
+                       .summary;
+  result.summary_matches = stored.summary == result.summary;
   return result;
 }
 
 }  // namespace
 
-std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records,
-                        const core::MonitorConfig& config) {
-  std::int64_t gets = 0;
-  int setup_skipped = 0;
-  for (const analysis::RecordObservation& rec : c2s_records) {
-    if (rec.type != tls::ContentType::kApplicationData) continue;
-    const std::size_t plaintext = rec.plaintext_estimate();
-    if (plaintext < config.min_get_record_bytes ||
-        plaintext > config.max_get_record_bytes) {
-      continue;
-    }
-    if (setup_skipped < config.setup_records_to_skip) {
-      ++setup_skipped;
-      continue;
-    }
-    ++gets;
-  }
-  return gets;
+StoredConn decode_conn(const TraceFile& trace) {
+  StoredConn conn;
+  conn.meta = trace.meta();
+  conn.truth = trace.ground_truth();
+  conn.records_s2c = trace.records(net::Direction::kServerToClient);
+  conn.records_c2s = trace.records(net::Direction::kClientToServer);
+  conn.packet_count = trace.packet_count();
+  if (trace.has_section(Section::kSummary)) conn.summary = trace.summary();
+  return conn;
 }
 
-TraceSummary score_with_predictor(const TraceMeta& meta,
-                                  const analysis::GroundTruth& truth,
-                                  const core::ObjectPredictor& predictor,
-                                  std::uint64_t monitor_packets,
-                                  std::int64_t monitor_gets) {
-  const web::IsideWithSite site =
-      web::build_isidewith_site(meta.pad_sensitive_objects);
-  const util::TimePoint horizon{meta.attack_horizon_ns};
-
-  TraceSummary sum;
-  sum.monitor_packets = monitor_packets;
-  sum.monitor_gets = monitor_gets;
-  sum.html = score_object(truth, predictor, site.results_html, core::html_label(),
-                          site.site.object(site.results_html).size, horizon);
-
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = meta.party_order[static_cast<std::size_t>(pos)];
-    const web::ObjectId id = site.emblems[static_cast<std::size_t>(party)];
-    sum.emblems_by_position[static_cast<std::size_t>(pos)] = score_object(
-        truth, predictor, id, core::party_label(party), site.site.object(id).size,
-        horizon);
-  }
-
-  // Sequence recovery + the per-position success overwrite, exactly as
-  // core::run_once does it after predict_sequence.
-  std::vector<std::string> party_labels;
-  party_labels.reserve(web::kPartyCount);
-  for (int p = 0; p < web::kPartyCount; ++p) {
-    party_labels.push_back(core::party_label(p));
-  }
-  for (const core::Identification& id :
-       predictor.predict_sequence(party_labels, horizon)) {
-    sum.predicted_sequence.push_back(id.label);
-  }
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = meta.party_order[static_cast<std::size_t>(pos)];
-    const bool position_ok =
-        pos < static_cast<int>(sum.predicted_sequence.size()) &&
-        sum.predicted_sequence[static_cast<std::size_t>(pos)] ==
-            core::party_label(party);
-    ObjectVerdict& v = sum.emblems_by_position[static_cast<std::size_t>(pos)];
-    v.attack_success = v.any_serialized_copy && position_ok;
-    sum.sequence_positions_correct += position_ok ? 1 : 0;
-  }
-  return sum;
+core::Verdict score_conn(const StoredConn& conn, const web::IsideWithSite& site) {
+  return core::score_verdict(site, conn.meta.party_order,
+                             util::TimePoint{conn.meta.attack_horizon_ns}, conn.truth,
+                             conn.records_c2s, conn.records_s2c, conn.packet_count);
 }
 
 TraceSummary score_stored(const TraceFile& trace) {
-  const analysis::GroundTruth truth = trace.ground_truth();
-  const std::vector<analysis::RecordObservation> s2c =
-      trace.records(net::Direction::kServerToClient);
-  const std::vector<analysis::RecordObservation> c2s =
-      trace.records(net::Direction::kClientToServer);
-  const core::ObjectPredictor predictor(s2c, core::isidewith_catalog());
-  return score_with_predictor(trace.meta(), truth, predictor,
-                              trace.packet_count(), count_gets(c2s));
+  const StoredConn conn = decode_conn(trace);
+  return score_conn(conn, web::build_isidewith_site(conn.meta.pad_sensitive_objects))
+      .summary;
 }
 
 std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
@@ -293,6 +197,8 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
     d.meta.seed = conns[i].client_seed;
     d.meta.party_order = conns[i].party_order;
     d.meta.attack_horizon_ns = conns[i].attack_horizon_ns;
+    d.truth = std::move(conns[i].truth);
+    d.summary = std::move(conns[i].summary);
     d.info = std::move(conns[i]);
   }
 
@@ -302,6 +208,7 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
     DemuxedConn& d = out[ids.packets[idx]];  // ids validated < conns.size()
     p.time.ns -= d.info.start_offset_ns;
     d.packets.push_back(p);
+    ++d.packet_count;
   }
   for (const auto dir :
        {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
@@ -320,33 +227,34 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
   return out;
 }
 
+ReplayResult replay(const DemuxedConn& conn, const web::IsideWithSite& site) {
+  return run_replay(conn, site, [&](const auto& fn) {
+    for (const analysis::PacketObservation& p : conn.packets) fn(p);
+  });
+}
+
 std::vector<ReplayResult> replay_fleet(const TraceFile& trace) {
   const std::vector<DemuxedConn> conns = demux_fleet(trace);
+  const web::IsideWithSite site =
+      web::build_isidewith_site(trace.meta().pad_sensitive_objects);
   std::vector<ReplayResult> out;
   out.reserve(conns.size());
-  for (const DemuxedConn& conn : conns) {
-    const auto walk = [&](const auto& fn) {
-      for (const analysis::PacketObservation& p : conn.packets) fn(p);
-    };
-    out.push_back(run_replay(conn.meta, conn.info.truth, conn.records_c2s,
-                             conn.records_s2c, conn.info.summary, walk));
-  }
+  for (const DemuxedConn& conn : conns) out.push_back(replay(conn, site));
   return out;
 }
 
-ReplayResult replay(const TraceFile& trace) {
-  const std::vector<analysis::RecordObservation> c2s =
-      trace.records(net::Direction::kClientToServer);
-  const std::vector<analysis::RecordObservation> s2c =
-      trace.records(net::Direction::kServerToClient);
-  const analysis::GroundTruth truth = trace.ground_truth();
-  std::optional<TraceSummary> stored;
-  if (trace.has_section(Section::kSummary)) stored = trace.summary();
-  const auto walk = [&](const auto& fn) {
+ReplayResult replay(const TraceFile& trace, const StoredConn& stored,
+                    const web::IsideWithSite& site) {
+  return run_replay(stored, site, [&](const auto& fn) {
     analysis::PacketObservation p;
     for (PacketCursor cursor = trace.packets(); cursor.next(p);) fn(p);
-  };
-  return run_replay(trace.meta(), truth, c2s, s2c, stored, walk);
+  });
+}
+
+ReplayResult replay(const TraceFile& trace) {
+  const StoredConn stored = decode_conn(trace);
+  return replay(trace, stored,
+                web::build_isidewith_site(stored.meta.pad_sensitive_objects));
 }
 
 }  // namespace h2priv::capture

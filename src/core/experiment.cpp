@@ -37,6 +37,96 @@ analysis::SizeCatalog isidewith_catalog() {
   return catalog;
 }
 
+namespace {
+
+/// A stored verdict as a RunResult outcome of object `id`.
+ObjectOutcome outcome_of(const capture::ObjectVerdict& v, web::ObjectId id) {
+  ObjectOutcome o;
+  o.object_id = id;
+  o.label = v.label;
+  o.true_size = v.true_size;
+  if (v.has_dom) o.primary_dom = v.primary_dom;
+  o.serialized_primary = v.serialized_primary;
+  o.any_serialized_copy = v.any_serialized_copy;
+  o.identified = v.identified;
+  o.attack_success = v.attack_success;
+  return o;
+}
+
+}  // namespace
+
+Verdict score_verdict(const web::IsideWithSite& site,
+                      const std::array<int, web::kPartyCount>& party_order,
+                      util::TimePoint horizon, const analysis::GroundTruth& truth,
+                      std::span<const analysis::RecordObservation> records_c2s,
+                      std::span<const analysis::RecordObservation> records_s2c,
+                      std::uint64_t packets) {
+  const ObjectPredictor predictor(records_s2c, isidewith_catalog());
+  Verdict out;
+  out.bursts = predictor.bursts_after(horizon);
+  const std::vector<Identification> ids = predictor.identify(out.bursts);
+
+  const auto judge = [&](web::ObjectId id, const std::string& label) {
+    capture::ObjectVerdict v;
+    v.label = label;
+    v.true_size = site.site.object(id).size;
+    const std::optional<double> dom = truth.object_dom(id);
+    v.has_dom = dom.has_value();
+    if (dom.has_value()) {
+      v.primary_dom = *dom;
+      // The paper's per-object observable: DoM == 0 means fully serialized.
+      obs::sample(obs::Hist::kH2ObjectDomMilli,
+                  static_cast<std::uint64_t>(std::llround(*dom * 1000.0)));
+    }
+    v.serialized_primary = dom.has_value() && *dom == 0.0;
+    v.any_serialized_copy = truth.any_serialized_instance(id);
+    v.identified = std::any_of(ids.begin(), ids.end(), [&](const Identification& i) {
+      return i.label == label;
+    });
+    v.attack_success = v.any_serialized_copy && v.identified;
+    return v;
+  };
+
+  capture::TraceSummary& sum = out.summary;
+  sum.monitor_packets = packets;
+  sum.monitor_gets = count_gets(records_c2s);
+  sum.html = judge(site.results_html, html_label());
+
+  // Sequence recovery: last-occurrence-per-party ordering (noise-robust).
+  std::vector<std::string> party_labels;
+  party_labels.reserve(web::kPartyCount);
+  for (int p = 0; p < web::kPartyCount; ++p) party_labels.push_back(party_label(p));
+  for (const Identification& id : predict_sequence(ids, party_labels)) {
+    sum.predicted_sequence.push_back(id.label);
+  }
+  for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
+    const auto party = static_cast<std::size_t>(party_order[pos]);
+    capture::ObjectVerdict& v = sum.emblems_by_position[pos];
+    v = judge(site.emblems[party], party_labels[party]);
+    const bool position_ok = pos < sum.predicted_sequence.size() &&
+                             sum.predicted_sequence[pos] == party_labels[party];
+    v.attack_success = v.any_serialized_copy && position_ok;
+    sum.sequence_positions_correct += position_ok ? 1 : 0;
+  }
+  return out;
+}
+
+capture::TraceMeta trace_meta(const RunConfig& config) {
+  capture::TraceMeta meta;
+  meta.seed = config.seed;
+  meta.scenario = config.capture.scenario;
+  meta.attack_enabled = config.attack_enabled;
+  meta.pad_sensitive_objects = config.pad_sensitive_objects;
+  meta.push_emblems = config.push_emblems;
+  if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
+  if (config.manual_bandwidth) {
+    meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
+  }
+  meta.deadline_ns = config.deadline.ns;
+  meta.defense = config.server.defense;
+  return meta;
+}
+
 RunResult run_once(const RunConfig& config) {
   obs::Registry& reg = obs::current();
   if (config.obs_trace_capacity > 0) {
@@ -162,19 +252,8 @@ RunResult run_once(const RunConfig& config) {
       std::filesystem::create_directories(config.capture.corpus_dir);
       trace_path = config.capture.corpus_dir + "/" + capture::trace_filename(config.seed);
     }
-    capture::TraceMeta meta;
-    meta.seed = config.seed;
-    meta.scenario = config.capture.scenario;
-    meta.attack_enabled = config.attack_enabled;
-    meta.pad_sensitive_objects = config.pad_sensitive_objects;
-    meta.push_emblems = config.push_emblems;
-    if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
-    if (config.manual_bandwidth) {
-      meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
-    }
-    meta.deadline_ns = config.deadline.ns;
+    capture::TraceMeta meta = trace_meta(config);
     meta.party_order = plan.party_order;
-    meta.defense = defense_cfg;
     trace_writer = std::make_unique<capture::TraceWriter>(trace_path, std::move(meta));
     monitor.on_packet_observed = [&](const analysis::PacketObservation& obs) {
       trace_writer->add_packet(obs);
@@ -208,59 +287,30 @@ RunResult run_once(const RunConfig& config) {
   result.truth = truth;
   result.monitor_packets = monitor.packets_seen();
   result.egress_burst_drops = link_m2c.stats().burst_dropped;
-  result.monitor_gets = monitor.get_count();
   result.true_party_order = plan.party_order;
 
-  ObjectPredictor predictor(monitor, isidewith_catalog());
   const util::TimePoint horizon =
       config.attack_enabled && attack.timeline().drops_ended
           ? *attack.timeline().drops_ended
           : util::TimePoint{};
-
-  const auto score_object = [&](web::ObjectId id, const std::string& label) {
-    ObjectOutcome o;
-    o.object_id = id;
-    o.label = label;
-    o.true_size = site.site.object(id).size;
-    o.primary_dom = truth->object_dom(id);
-    if (o.primary_dom.has_value()) {
-      // The paper's per-object observable: DoM == 0 means fully serialized.
-      reg.sample(obs::Hist::kH2ObjectDomMilli,
-                 static_cast<std::uint64_t>(std::llround(*o.primary_dom * 1000.0)));
-    }
-    o.serialized_primary = o.primary_dom.has_value() && *o.primary_dom == 0.0;
-    o.any_serialized_copy = truth->any_serialized_instance(id);
-    o.identified = predictor.find(label, horizon).has_value();
-    o.attack_success = o.any_serialized_copy && o.identified;
-    return o;
-  };
-
-  result.html = score_object(site.results_html, html_label());
-
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = plan.party_order[static_cast<std::size_t>(pos)];
-    result.emblems_by_position[static_cast<std::size_t>(pos)] =
-        score_object(site.emblems[static_cast<std::size_t>(party)], party_label(party));
+  Verdict verdict = score_verdict(
+      site, plan.party_order, horizon, *truth,
+      monitor.records(net::Direction::kClientToServer),
+      monitor.records(net::Direction::kServerToClient), monitor.packets_seen());
+  const capture::TraceSummary& summary = verdict.summary;
+  result.monitor_gets = static_cast<int>(summary.monitor_gets);
+  result.html = outcome_of(summary.html, site.results_html);
+  for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
+    result.emblems_by_position[pos] =
+        outcome_of(summary.emblems_by_position[pos],
+                   site.emblems[static_cast<std::size_t>(plan.party_order[pos])]);
   }
-
+  result.predicted_sequence = summary.predicted_sequence;
+  result.sequence_positions_correct =
+      static_cast<int>(summary.sequence_positions_correct);
   result.attack_horizon_seconds = horizon.seconds();
-  result.debug_bursts = predictor.bursts_after(horizon);
+  result.debug_bursts = std::move(verdict.bursts);
 
-  // Sequence recovery: last-occurrence-per-party ordering (noise-robust).
-  std::vector<std::string> party_labels;
-  for (int p = 0; p < web::kPartyCount; ++p) party_labels.push_back(party_label(p));
-  for (const Identification& id : predictor.predict_sequence(party_labels, horizon)) {
-    result.predicted_sequence.push_back(id.label);
-  }
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = plan.party_order[static_cast<std::size_t>(pos)];
-    const bool position_ok =
-        pos < static_cast<int>(result.predicted_sequence.size()) &&
-        result.predicted_sequence[static_cast<std::size_t>(pos)] == party_label(party);
-    auto& outcome = result.emblems_by_position[static_cast<std::size_t>(pos)];
-    outcome.attack_success = outcome.any_serialized_copy && position_ok;
-    result.sequence_positions_correct += position_ok ? 1 : 0;
-  }
   if (trace_writer) {
     for (const auto dir :
          {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
@@ -270,28 +320,6 @@ RunResult run_once(const RunConfig& config) {
     }
     trace_writer->meta().attack_horizon_ns = horizon.ns;
     trace_writer->set_ground_truth(*truth);
-
-    const auto to_verdict = [](const ObjectOutcome& o) {
-      capture::ObjectVerdict v;
-      v.label = o.label;
-      v.true_size = o.true_size;
-      v.has_dom = o.primary_dom.has_value();
-      if (o.primary_dom) v.primary_dom = *o.primary_dom;
-      v.serialized_primary = o.serialized_primary;
-      v.any_serialized_copy = o.any_serialized_copy;
-      v.identified = o.identified;
-      v.attack_success = o.attack_success;
-      return v;
-    };
-    capture::TraceSummary summary;
-    summary.monitor_packets = result.monitor_packets;
-    summary.monitor_gets = result.monitor_gets;
-    summary.html = to_verdict(result.html);
-    for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
-      summary.emblems_by_position[pos] = to_verdict(result.emblems_by_position[pos]);
-    }
-    summary.predicted_sequence = result.predicted_sequence;
-    summary.sequence_positions_correct = result.sequence_positions_correct;
     trace_writer->set_summary(summary);
     trace_writer->finish();
   }
@@ -302,6 +330,7 @@ RunResult run_once(const RunConfig& config) {
     out.records_c2s = monitor.records(net::Direction::kClientToServer);
     out.records_s2c = monitor.records(net::Direction::kServerToClient);
     out.attack_horizon_ns = horizon.ns;
+    out.summary = std::move(verdict.summary);
   }
 
   reg.add(obs::Counter::kCoreRuns);

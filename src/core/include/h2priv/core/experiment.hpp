@@ -11,11 +11,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "h2priv/analysis/ground_truth.hpp"
 #include "h2priv/analysis/observation.hpp"
+#include "h2priv/capture/trace_format.hpp"
 #include "h2priv/net/packet.hpp"
 #include "h2priv/client/browser.hpp"
 #include "h2priv/core/attack.hpp"
@@ -87,15 +89,18 @@ struct FleetConfig {
   [[nodiscard]] bool enabled() const noexcept { return clients > 0; }
 };
 
-/// Raw observation streams of one run, exported for callers that multiplex
-/// several runs into one artifact (the fleet trace merger). Filled by
-/// run_once when RunConfig::observations_out points at an instance.
+/// Raw observation streams of one run and its scored verdict, exported for
+/// callers that multiplex several runs into one artifact (the fleet trace
+/// merger). Filled by run_once when RunConfig::observations_out points at an
+/// instance.
 struct RunObservations {
   std::vector<analysis::PacketObservation> packets;
   std::vector<analysis::RecordObservation> records_c2s;
   std::vector<analysis::RecordObservation> records_s2c;
   /// Phase-3 start (client-local ns) the predictor used; 0 when passive.
   std::int64_t attack_horizon_ns = 0;
+  /// The run's verdict in stored form (score_verdict's summary).
+  capture::TraceSummary summary;
 };
 
 struct RunConfig {
@@ -202,6 +207,33 @@ struct RunResult {
 
 /// The adversary's pre-compiled catalog for the isidewith model.
 [[nodiscard]] analysis::SizeCatalog isidewith_catalog();
+
+/// One page load's attack verdict in stored form, plus the post-horizon
+/// bursts the predictor read it from.
+struct Verdict {
+  capture::TraceSummary summary;
+  std::vector<analysis::EstimatedObject> bursts;
+};
+
+/// The one verdict scorer; live runs, fleet clients, replay and corpus
+/// scoring all call it. Segments the server->client records once, matches
+/// the post-horizon bursts against isidewith_catalog() once, and judges the
+/// results HTML and every emblem position (party_order[pos] is the party
+/// shown at pos). An attack succeeds on the HTML when some copy of it was
+/// served serialized (DoM 0) and a burst matched its size; on an emblem
+/// position when some copy was served serialized and the recovered sequence
+/// puts the right party there. Samples each object's DoM into
+/// h2.object_dom_milli. The GET count is count_gets over `records_c2s`;
+/// `packets` is stored as the monitor's packet count.
+[[nodiscard]] Verdict score_verdict(
+    const web::IsideWithSite& site, const std::array<int, web::kPartyCount>& party_order,
+    util::TimePoint horizon, const analysis::GroundTruth& truth,
+    std::span<const analysis::RecordObservation> records_c2s,
+    std::span<const analysis::RecordObservation> records_s2c, std::uint64_t packets);
+
+/// The .h2t metadata of a run under `config`; party order and attack
+/// horizon stay zero for the caller that knows them.
+[[nodiscard]] capture::TraceMeta trace_meta(const RunConfig& config);
 
 /// Executes one seeded page load and scores it.
 [[nodiscard]] RunResult run_once(const RunConfig& config);

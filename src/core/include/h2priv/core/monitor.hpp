@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "h2priv/analysis/monitor_stream.hpp"
@@ -38,7 +39,23 @@ struct MonitorConfig {
   /// turns this off so monitoring a corpus-scale trace costs O(1)
   /// memory in packets; packets_seen() stays exact either way.
   bool retain_packets = true;
+
+  /// The GET rule's size test: an application-data record whose plaintext
+  /// estimate lies in [min_get_record_bytes, max_get_record_bytes]. The
+  /// first setup_records_to_skip such records are setup, every later one is
+  /// a GET.
+  [[nodiscard]] bool get_sized(const analysis::RecordObservation& rec) const noexcept {
+    if (rec.type != tls::ContentType::kApplicationData) return false;
+    const std::size_t plaintext = rec.plaintext_estimate();
+    return plaintext >= min_get_record_bytes && plaintext <= max_get_record_bytes;
+  }
 };
+
+/// The GET count a TrafficMonitor reaches over a finished client->server
+/// record sequence: the GET-sized records past the setup skip.
+[[nodiscard]] std::int64_t count_gets(
+    std::span<const analysis::RecordObservation> c2s_records,
+    const MonitorConfig& config = {});
 
 class TrafficMonitor {
  public:

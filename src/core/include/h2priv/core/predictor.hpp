@@ -6,13 +6,11 @@
 // ("image size to political party mapping").
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "h2priv/analysis/estimator.hpp"
-#include "h2priv/core/monitor.hpp"
 
 namespace h2priv::core {
 
@@ -24,51 +22,32 @@ struct Identification {
 
 class ObjectPredictor {
  public:
-  ObjectPredictor(const TrafficMonitor& monitor, analysis::SizeCatalog catalog,
-                  analysis::BurstConfig burst_config = {});
-
-  /// Monitor-free construction over an already-extracted server->client
-  /// record sequence — the corpus scoring pipeline's path, which reads
-  /// records straight out of a stored .h2t section and never rebuilds a
-  /// TrafficMonitor. `s2c_records` must outlive the predictor.
+  /// Segments a finished server->client record sequence (a monitor's after
+  /// the run, or a stored .h2t section) into bursts, once; the predictor
+  /// keeps no reference to `s2c_records`.
   ObjectPredictor(std::span<const analysis::RecordObservation> s2c_records,
                   analysis::SizeCatalog catalog,
-                  analysis::BurstConfig burst_config = {});
+                  const analysis::BurstConfig& burst_config = {});
 
-  /// All catalog matches among bursts starting at/after `from`, in order.
-  [[nodiscard]] std::vector<Identification> identify_after(util::TimePoint from) const;
-
-  /// First burst at/after `from` matching `label`'s catalog size.
-  [[nodiscard]] std::optional<Identification> find(const std::string& label,
-                                                   util::TimePoint from) const;
-
-  /// Sequence recovery robust to stale-retransmission noise: for each
-  /// catalog label in `labels`, take its LAST match after `from` (the real
-  /// serialized serving comes after any leftover retransmission bursts of
-  /// the drop phase, which the adversary cannot distinguish — Section IV-D),
-  /// then order labels by that time.
-  [[nodiscard]] std::vector<Identification> predict_sequence(
-      const std::vector<std::string>& labels, util::TimePoint from) const;
-
-  /// Raw bursts (diagnostics / examples).
+  /// Raw bursts starting at/after `from`, in order.
   [[nodiscard]] std::vector<analysis::EstimatedObject> bursts_after(
       util::TimePoint from) const;
 
-  [[nodiscard]] const analysis::SizeCatalog& catalog() const noexcept { return catalog_; }
-
-  std::size_t abs_tolerance = 150;
-  double frac_tolerance = 0.012;
+  /// All catalog matches among `bursts`, in order.
+  [[nodiscard]] std::vector<Identification> identify(
+      std::span<const analysis::EstimatedObject> bursts) const;
 
  private:
-  /// The server->client records under analysis: resolved per call when
-  /// monitor-backed (the monitor's vector may still reallocate), or the
-  /// caller's fixed span otherwise.
-  [[nodiscard]] std::span<const analysis::RecordObservation> s2c_records() const;
-
-  const TrafficMonitor* monitor_ = nullptr;
-  std::span<const analysis::RecordObservation> records_;
   analysis::SizeCatalog catalog_;
-  analysis::BurstConfig burst_config_;
+  std::vector<analysis::EstimatedObject> bursts_;
 };
+
+/// Sequence recovery robust to stale-retransmission noise: for each catalog
+/// label in `labels`, take its LAST match in `ids` (the real serialized
+/// serving comes after any leftover retransmission bursts of the drop phase,
+/// which the adversary cannot distinguish — Section IV-D), then order labels
+/// by that time.
+[[nodiscard]] std::vector<Identification> predict_sequence(
+    std::span<const Identification> ids, std::span<const std::string> labels);
 
 }  // namespace h2priv::core

@@ -1,6 +1,18 @@
 #include "h2priv/core/monitor.hpp"
 
+#include <algorithm>
+
 namespace h2priv::core {
+
+std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records,
+                        const MonitorConfig& config) {
+  const std::int64_t sized =
+      std::count_if(c2s_records.begin(), c2s_records.end(),
+                    [&](const analysis::RecordObservation& rec) {
+                      return config.get_sized(rec);
+                    });
+  return std::max<std::int64_t>(0, sized - config.setup_records_to_skip);
+}
 
 TrafficMonitor::TrafficMonitor(net::Middlebox& middlebox, MonitorConfig config)
     : TrafficMonitor(config) {
@@ -53,10 +65,7 @@ void TrafficMonitor::on_record(const analysis::RecordObservation& rec) {
     }
   }
 
-  if (plaintext < config_.min_get_record_bytes ||
-      plaintext > config_.max_get_record_bytes) {
-    return;
-  }
+  if (!config_.get_sized(rec)) return;
   if (setup_skipped_ < config_.setup_records_to_skip) {
     ++setup_skipped_;
     return;

@@ -4,57 +4,36 @@
 
 namespace h2priv::core {
 
-ObjectPredictor::ObjectPredictor(const TrafficMonitor& monitor,
-                                 analysis::SizeCatalog catalog,
-                                 analysis::BurstConfig burst_config)
-    : monitor_(&monitor), catalog_(std::move(catalog)), burst_config_(burst_config) {}
-
 ObjectPredictor::ObjectPredictor(
     std::span<const analysis::RecordObservation> s2c_records,
-    analysis::SizeCatalog catalog, analysis::BurstConfig burst_config)
-    : records_(s2c_records),
-      catalog_(std::move(catalog)),
-      burst_config_(burst_config) {}
-
-std::span<const analysis::RecordObservation> ObjectPredictor::s2c_records() const {
-  return monitor_ != nullptr ? monitor_->records(net::Direction::kServerToClient)
-                             : records_;
-}
+    analysis::SizeCatalog catalog, const analysis::BurstConfig& burst_config)
+    : catalog_(std::move(catalog)),
+      bursts_(analysis::segment_bursts(s2c_records, burst_config)) {}
 
 std::vector<analysis::EstimatedObject> ObjectPredictor::bursts_after(
     util::TimePoint from) const {
-  std::vector<analysis::EstimatedObject> all =
-      analysis::segment_bursts(s2c_records(), burst_config_);
   std::vector<analysis::EstimatedObject> out;
-  for (const auto& b : all) {
+  for (const auto& b : bursts_) {
     if (b.first_record >= from) out.push_back(b);
   }
   return out;
 }
 
-std::vector<Identification> ObjectPredictor::identify_after(util::TimePoint from) const {
+std::vector<Identification> ObjectPredictor::identify(
+    std::span<const analysis::EstimatedObject> bursts) const {
   std::vector<Identification> out;
-  for (const analysis::EstimatedObject& b : bursts_after(from)) {
-    if (const auto entry =
-        catalog_.match(b.body_estimate, abs_tolerance, frac_tolerance)) {
+  for (const analysis::EstimatedObject& b : bursts) {
+    if (const auto entry = catalog_.match(b.body_estimate)) {
       out.push_back(Identification{entry->label, b.body_estimate, b.first_record});
     }
   }
   return out;
 }
 
-std::optional<Identification> ObjectPredictor::find(const std::string& label,
-                                                    util::TimePoint from) const {
-  for (const Identification& id : identify_after(from)) {
-    if (id.label == label) return id;
-  }
-  return std::nullopt;
-}
-
-std::vector<Identification> ObjectPredictor::predict_sequence(
-    const std::vector<std::string>& labels, util::TimePoint from) const {
+std::vector<Identification> predict_sequence(std::span<const Identification> ids,
+                                             std::span<const std::string> labels) {
   std::vector<Identification> last;
-  for (const Identification& id : identify_after(from)) {
+  for (const Identification& id : ids) {
     const auto wanted = std::find(labels.begin(), labels.end(), id.label);
     if (wanted == labels.end()) continue;
     const auto seen = std::find_if(last.begin(), last.end(),

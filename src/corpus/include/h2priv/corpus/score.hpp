@@ -1,11 +1,13 @@
 // Parallel offline scoring over a trace corpus — the paper's evaluation loop
 // run at 10^5-trace scale without re-simulating anything.
 //
-// Phase A (parallel): every manifest entry streams through the records-direct
-// scorer (capture::score_stored's machinery) off an mmap'd TraceFile — no TCP
-// reassembly, no packet materialization, bounded memory per worker. Each
-// trace yields its recomputed attack verdict, a stored-summary cross-check,
-// its post-horizon burst-size profile and its ground-truth label. Results
+// Phase A (parallel): every manifest entry's sections are decoded once off an
+// mmap'd TraceFile (capture::decode_conn, or demux_fleet per connection) and
+// scored records-direct by core::score_verdict — no TCP reassembly, no
+// packet materialization, bounded memory per worker; replay-verify reuses
+// the same decode. Each trace yields its recomputed attack verdict, a
+// stored-summary cross-check, its post-horizon burst-size profile and its
+// ground-truth label. Results
 // land in a pre-sized vector at the manifest index and metrics count into
 // per-worker registries folded commutatively, so the pipeline output is
 // bit-identical for any --jobs count.
@@ -87,7 +89,7 @@ struct TraceScore {
   std::uint64_t seed = 0;
   std::string file;  ///< corpus-root-relative path from the manifest
   std::uint64_t file_bytes = 0;
-  /// Records-direct recomputed verdict (capture::score_with_predictor). For
+  /// Records-direct recomputed verdict (capture::score_conn). For
   /// fleet traces this holds corpus-fold aggregates only (packet/GET/sequence
   /// totals over `conns`); the real verdicts are per connection.
   capture::TraceSummary summary;

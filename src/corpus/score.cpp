@@ -67,11 +67,11 @@ std::string feature_names(unsigned features) {
 namespace {
 
 /// Phase A, fleet flavour: demultiplex the trace through its kConnIds
-/// columns and score every connection records-direct, exactly like the
-/// single-connection fast path runs over a whole trace. The per-connection
-/// summaries stored in kFleet are the fidelity cross-check; the trace-level
-/// summary keeps only corpus-fold aggregates. Fleet traces never enter the
-/// classifier split.
+/// columns once and score every connection records-direct, exactly like the
+/// single-connection fast path runs over a whole trace; replay-verify walks
+/// the same demuxed connections. The per-connection summaries stored in
+/// kFleet are the fidelity cross-check; the trace-level summary keeps only
+/// corpus-fold aggregates. Fleet traces never enter the classifier split.
 TraceScore score_fleet(const capture::TraceFile& trace,
                        const capture::ManifestEntry& entry,
                        const ScoreOptions& options) {
@@ -85,42 +85,34 @@ TraceScore score_fleet(const capture::TraceFile& trace,
   ts.summary.monitor_packets = trace.packet_count();
 
   const std::vector<capture::DemuxedConn> conns = capture::demux_fleet(trace);
-  const std::vector<capture::FleetConn>& fleet = trace.fleet();
+  const web::IsideWithSite site =
+      web::build_isidewith_site(trace.meta().pad_sensitive_objects);
+  ts.replay_verified = options.replay_verify;
   ts.conns.reserve(conns.size());
-  for (std::size_t k = 0; k < conns.size(); ++k) {
-    const capture::DemuxedConn& conn = conns[k];
-    const core::ObjectPredictor predictor(conn.records_s2c,
-                                          core::isidewith_catalog());
+  for (const capture::DemuxedConn& conn : conns) {
     ConnScore cs;
     cs.seed = conn.info.client_seed;
-    cs.summary = capture::score_with_predictor(
-        conn.meta, conn.info.truth, predictor,
-        static_cast<std::uint64_t>(conn.packets.size()),
-        capture::count_gets(conn.records_c2s));
-    cs.matches_stored_summary = cs.summary == fleet[k].summary;
+    cs.summary = capture::score_conn(conn, site).summary;
+    cs.matches_stored_summary = conn.summary == cs.summary;
     ts.matches_stored_summary &= cs.matches_stored_summary;
     ts.summary.monitor_gets += cs.summary.monitor_gets;
     ts.summary.sequence_positions_correct +=
         cs.summary.sequence_positions_correct;
-    ts.conns.push_back(std::move(cs));
-  }
-
-  if (options.replay_verify) {
-    ts.replay_verified = true;
-    const std::vector<capture::ReplayResult> replays =
-        capture::replay_fleet(trace);
-    for (std::size_t k = 0; k < replays.size(); ++k) {
-      ts.replay_verified &= replays[k].records_match &&
-                            replays[k].summary_matches &&
-                            replays[k].summary == ts.conns[k].summary;
+    if (options.replay_verify) {
+      const capture::ReplayResult r = capture::replay(conn, site);
+      ts.replay_verified &=
+          r.records_match && r.summary_matches && r.summary == cs.summary;
     }
+    ts.conns.push_back(std::move(cs));
   }
   obs::count(obs::Counter::kCorpusTracesScored);
   return ts;
 }
 
-/// Phase A: score one manifest entry off its mmap'd trace. Everything here
-/// is a pure function of the trace bytes — safe to run on any worker.
+/// Phase A: score one manifest entry off its mmap'd trace. Each section is
+/// decoded once; replay-verify reuses the decode and walks only the packets.
+/// Everything here is a pure function of the trace bytes — safe to run on
+/// any worker.
 TraceScore score_one(const Corpus& corpus, const capture::ManifestEntry& entry,
                      const ScoreOptions& options) {
   const capture::TraceFile trace =
@@ -131,26 +123,21 @@ TraceScore score_one(const Corpus& corpus, const capture::ManifestEntry& entry,
   ts.file = entry.file;
   ts.file_bytes = trace.file_size();
 
-  const analysis::GroundTruth truth = trace.ground_truth();
-  const std::vector<analysis::RecordObservation> s2c =
-      trace.records(net::Direction::kServerToClient);
-  const std::vector<analysis::RecordObservation> c2s =
-      trace.records(net::Direction::kClientToServer);
-  const core::ObjectPredictor predictor(s2c, core::isidewith_catalog());
-  ts.summary =
-      capture::score_with_predictor(trace.meta(), truth, predictor,
-                                    trace.packet_count(), capture::count_gets(c2s));
-  ts.profile = analysis::build_feature_profile(
-      options.features,
-      predictor.bursts_after(util::TimePoint{trace.meta().attack_horizon_ns}), s2c);
-  ts.true_label = core::party_label(trace.meta().party_order[0]);
+  const capture::StoredConn conn = capture::decode_conn(trace);
+  const web::IsideWithSite site =
+      web::build_isidewith_site(conn.meta.pad_sensitive_objects);
+  core::Verdict verdict = capture::score_conn(conn, site);
+  ts.summary = std::move(verdict.summary);
+  ts.profile =
+      analysis::build_feature_profile(options.features, verdict.bursts, conn.records_s2c);
+  ts.true_label = core::party_label(conn.meta.party_order[0]);
 
-  if (trace.has_section(capture::Section::kSummary)) {
+  if (conn.summary.has_value()) {
     ts.had_stored_summary = true;
-    ts.matches_stored_summary = trace.summary() == ts.summary;
+    ts.matches_stored_summary = *conn.summary == ts.summary;
   }
   if (options.replay_verify) {
-    const capture::ReplayResult r = capture::replay(trace);
+    const capture::ReplayResult r = capture::replay(trace, conn, site);
     ts.replay_verified =
         r.records_match && (!ts.had_stored_summary || r.summary_matches) &&
         r.summary == ts.summary;

@@ -240,7 +240,7 @@ TEST(CaptureReplay, ReplayMatchesLiveRunBitForBit) {
     // The records-direct fast path agrees with replay, and both with the
     // live verdict.
     EXPECT_EQ(capture::score_stored(trace), replayed.summary) << ctx;
-    EXPECT_EQ(capture::count_gets(live_obs.records_c2s), live.monitor_gets) << ctx;
+    EXPECT_EQ(core::count_gets(live_obs.records_c2s), live.monitor_gets) << ctx;
     expect_verdict_matches_outcome(replayed.summary.html, live.html, ctx + " html");
     for (std::size_t i = 0; i < live.emblems_by_position.size(); ++i) {
       expect_verdict_matches_outcome(replayed.summary.emblems_by_position[i],

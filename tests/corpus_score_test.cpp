@@ -10,6 +10,7 @@
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/corpus/score.hpp"
 #include "h2priv/corpus/store.hpp"
+#include "h2priv/fleet/fleet.hpp"
 #include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
 
@@ -86,6 +87,50 @@ TEST(CorpusScore, RecordsDirectScorerAgreesWithFullReplay) {
   EXPECT_GT(report.total_packets, 0u);
   EXPECT_GT(report.total_gets, 0);
   fs::remove_all(root);
+}
+
+TEST(CorpusScore, ReplayVerifyRereadsNoScoredSection) {
+  // Replay-verify reuses the sections scoring decoded and walks only the
+  // packets, which single-connection scoring never reads, so the block
+  // cache sees no more hits with verification than without while the
+  // packet blocks add misses. A fleet trace is demultiplexed once, packets
+  // included, so verifying it decodes no block at all.
+  const fs::path root = temp_dir("corpus");
+  const fs::path fleet_root = temp_dir("fleet");
+  fs::remove_all(root);
+  fs::remove_all(fleet_root);
+  const Corpus single = make_corpus(root, 4);
+  core::RunConfig fleet_cfg;
+  fleet_cfg.attack_enabled = true;
+  fleet_cfg.seed = 1000;
+  fleet_cfg.fleet.clients = 2;
+  fleet_cfg.capture.scenario = "table2";
+  fleet_cfg.capture.corpus_dir = fleet_root.string();
+  (void)fleet::run_fleet_corpus(fleet_cfg, 2, core::Parallelism{1});
+  const Corpus fleet_corpus = load_corpus(fleet_root.string());
+
+  for (const Corpus* corpus : {&single, &fleet_corpus}) {
+    std::uint64_t hits[2] = {};
+    std::uint64_t misses[2] = {};
+    for (int verify = 0; verify < 2; ++verify) {
+      obs::ScopedRegistry scoped;
+      ScoreOptions options;
+      options.parallelism = core::Parallelism{1};
+      options.replay_verify = verify == 1;
+      const ScoreReport report = score_corpus(*corpus, options);
+      EXPECT_EQ(report.replay_failures, 0u);
+      hits[verify] = scoped.registry().get(obs::Counter::kCodecCacheHits);
+      misses[verify] = scoped.registry().get(obs::Counter::kCodecCacheMisses);
+    }
+    EXPECT_EQ(hits[1], hits[0]) << corpus->dir;
+    if (corpus == &single) {
+      EXPECT_GT(misses[1], misses[0]) << corpus->dir;
+    } else {
+      EXPECT_EQ(misses[1], misses[0]) << corpus->dir;
+    }
+  }
+  fs::remove_all(root);
+  fs::remove_all(fleet_root);
 }
 
 TEST(CorpusScore, SplitClassifiesAndBuildsCurves) {

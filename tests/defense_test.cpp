@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -354,20 +356,39 @@ TEST(DefenseIdentity, NoneLeavesWireBytesAndVerdictsBitIdentical) {
 // --- defended capture → replay ----------------------------------------------
 
 TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
+  // The defense presets plus the two site-level defenses, whose offline
+  // scoring rebuilds the site from the stored meta.
+  std::vector<std::pair<std::string, core::RunConfig>> cases;
   for (const std::string preset : {"pad-random", "quantize+shape", "full"}) {
     core::RunConfig cfg;
+    cfg.server.defense = *defense::defense_from_name(preset);
+    cases.emplace_back(preset, cfg);
+  }
+  core::RunConfig padded;
+  padded.pad_sensitive_objects = true;
+  cases.emplace_back("pad-sensitive-objects", padded);
+  core::RunConfig pushed;
+  pushed.push_emblems = true;
+  cases.emplace_back("push-emblems", pushed);
+
+  for (auto& [name, cfg] : cases) {
     cfg.attack_enabled = true;
     cfg.seed = 1'000;
-    cfg.server.defense = *defense::defense_from_name(preset);
-    cfg.capture.path = ::testing::TempDir() + "defense_replay_" + preset + ".h2t";
-    cfg.capture.scenario = "table2+" + preset;
+    cfg.capture.path = ::testing::TempDir() + "defense_replay_" + name + ".h2t";
+    cfg.capture.scenario = "table2+" + name;
+    core::RunObservations live;
+    cfg.observations_out = &live;
     (void)core::run_once(cfg);
 
     const capture::TraceFile trace = capture::TraceFile::open(cfg.capture.path);
-    EXPECT_EQ(trace.meta().defense, cfg.server.defense) << preset;
+    EXPECT_EQ(trace.meta().defense, cfg.server.defense) << name;
+    EXPECT_EQ(trace.meta().pad_sensitive_objects, cfg.pad_sensitive_objects) << name;
+    EXPECT_EQ(trace.meta().push_emblems, cfg.push_emblems) << name;
     const capture::ReplayResult replayed = capture::replay(trace);
-    EXPECT_TRUE(replayed.records_match) << preset;
-    EXPECT_TRUE(replayed.summary_matches) << preset;
+    EXPECT_TRUE(replayed.records_match) << name;
+    EXPECT_TRUE(replayed.summary_matches) << name;
+    EXPECT_EQ(capture::score_stored(trace), live.summary) << name;
+    EXPECT_EQ(replayed.summary, live.summary) << name;
   }
 }
 
